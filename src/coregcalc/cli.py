@@ -62,7 +62,9 @@ def _add_set_args(p, need_j=False):
     p.add_argument(
         "--bounds",
         metavar="KEY=V,...",
-        help="enumeration bounds: terms=T,index=M,value=V,denom=D",
+        help="enumeration bounds: terms=T,index=M,value=V,denom=D; the command "
+        "line defaults to terms=12,index=6 (the library's EnumBounds defaults "
+        "to terms=4)",
     )
 
 

@@ -14,7 +14,7 @@ nonstandard choice matches the minimal-center arithmetic and the identity
 The empty complex has dimension -1 by convention.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .setalg import DomainError

@@ -17,6 +17,7 @@ witness from which the defining formula can be replayed exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .rationals import format_rational
@@ -179,7 +180,7 @@ def lct0_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds) -> LctSet:
 def mem_lct0(t: Fraction, I: CoeffSet, J: CoeffSet) -> tuple[bool, Optional[Coreg0Witness]]:
     """Exact membership in the full coregularity-zero set.
 
-    For t > 0 every representation has j = (1-t*j... (1-i)/t <= 1/t, so the
+    For t > 0 every representation has j = (1-i)/t <= 1/t, so the
     finitely many combinations j <= 1/t are scanned exactly.  For t = 0 the
     test is 1 in I+.
     """
@@ -271,27 +272,38 @@ def _exact_sums(values, cap: Fraction):
 
 
 def _weighted_values(tr: PlatonicTriple, parts, extras, cap: Fraction):
-    """{qr*x1 + pr*x2 + pq*x3 + pqr*e <= cap} over the given slot values."""
+    """{qr*x1 + pr*x2 + pq*x3 + pqr*e <= cap} over the given slot values.
+
+    Works on integers: the slot values, the extras and the cap are scaled to
+    one common denominator and sorted, so each loop stops at the cap, and
+    only the distinct sums become Fractions again.
+    """
     p, q, r = tr.p, tr.q, tr.r
-    weights = (q * r, p * r, p * q)
+    w1, w2, w3, we = q * r, p * r, p * q, p * q * r
+    parts, extras = tuple(parts), tuple(extras)
+    D = lcm(cap.denominator, *(x.denominator for x in parts + extras))
+    xs = sorted(x.numerator * (D // x.denominator) for x in parts)
+    es = sorted(e.numerator * (D // e.denominator) for e in extras)
+    top = cap.numerator * (D // cap.denominator)
     out = set()
-    for x1 in parts:
-        w1 = weights[0] * x1
-        if w1 > cap:
-            continue
-        for x2 in parts:
-            w2 = w1 + weights[1] * x2
-            if w2 > cap:
-                continue
-            for x3 in parts:
-                w3 = w2 + weights[2] * x3
-                if w3 > cap:
-                    continue
-                for e in extras:
-                    w = w3 + p * q * r * e
-                    if w <= cap:
-                        out.add(w)
-    return out
+    for x1 in xs:
+        s1 = w1 * x1
+        if s1 > top:
+            break
+        for x2 in xs:
+            s2 = s1 + w2 * x2
+            if s2 > top:
+                break
+            for x3 in xs:
+                s3 = s2 + w3 * x3
+                if s3 > top:
+                    break
+                for e in es:
+                    s = s3 + we * e
+                    if s > top:
+                        break
+                    out.add(s)
+    return {Fraction(s, D) for s in out}
 
 
 def lct1_weighted(

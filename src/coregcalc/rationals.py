@@ -7,8 +7,6 @@ when the denominator is one.
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or a bare integer; rejects floats and empty input."""

@@ -9,12 +9,14 @@ The three derived sets are
 Sets are represented by finitely many nonnegative rational generators.
 Enumerations are complete relative to explicit parameter bounds (term count,
 m, k, value cap); the ``mem_*`` deciders are exact and never truncate.  All
-arithmetic is in ``fractions.Fraction``.
+values are ``fractions.Fraction``; the deciders rest on ``in_semigroup``,
+which scales a set to integers once and answers each query by one lookup.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .rationals import format_rational, parse_rational
@@ -56,6 +58,45 @@ class CoeffSet:
 
     def positive(self) -> tuple[Fraction, ...]:
         return tuple(x for x in self.elements if x > 0)
+
+    @cached_property
+    def scale(self) -> int:
+        """The lcm L of the denominators of the positive elements: every
+        finite sum of them is a multiple of 1/L."""
+        return lcm(*(x.denominator for x in self.positive()))
+
+    @cached_property
+    def apery(self) -> tuple[Optional[int], ...]:
+        """The Apéry table of the sums of positive elements, scaled by L.
+
+        Entry r is the least scaled sum L*s congruent to r modulo the
+        smallest scaled generator, or None when no sum is; the table is
+        empty when S has no positive element.  Built once per set by the
+        round-robin shortest-path algorithm of Böcker and Lipták, "A fast
+        and simple algorithm for the money changing problem" (Algorithmica
+        2007), in O(len(S) * len(table)) steps.
+        """
+        L = self.scale
+        scaled = sorted({g.numerator * (L // g.denominator) for g in self.positive()})
+        if not scaled:
+            return ()
+        n0 = scaled[0]
+        w: list[Optional[int]] = [None] * n0
+        w[0] = 0
+        for g in scaled[1:]:
+            step = gcd(n0, g)
+            for r in range(step):
+                reached = [w[c] for c in range(r, n0, step) if w[c] is not None]
+                if not reached:
+                    continue
+                n = min(reached)
+                for _ in range(n0 // step - 1):
+                    n += g
+                    c = n % n0
+                    if w[c] is not None and w[c] < n:
+                        n = w[c]
+                    w[c] = n
+        return tuple(w)
 
     def __contains__(self, x) -> bool:
         return x in self.elements
@@ -135,33 +176,34 @@ def plus_closure_exact(I: CoeffSet) -> CoeffSet:
     return CoeffSet.of(seen)
 
 
-def mem_plus_closure(a: Fraction, I: CoeffSet) -> bool:
-    """Exact membership a in I+.
+def in_semigroup(x: Fraction, S: CoeffSet) -> bool:
+    """Whether x >= 0 is a finite sum of positive elements of S (0 is the
+    empty sum).
 
-    Scales a and the generators to a common denominator and runs an
-    unbounded-repetition integer knapsack; termination is guaranteed because
-    every positive generator is >= min_positive(I).
+    One lookup in the Apéry table S.apery: L*x (L = S.scale) must be an
+    integer, and it is a sum exactly when it is at least the least sum in
+    its residue class.  Below the smallest positive element only 0 is a
+    sum, and that is answered without the table, which has one entry per
+    multiple of 1/L below that element; so the table never outgrows L*x.
     """
+    if x < 0:
+        raise DomainError(f"argument {format_rational(x)} is negative")
+    least_gen = S.min_positive
+    if least_gen is None or x < least_gen:
+        return x == 0
+    L, w = S.scale, S.apery
+    if L % x.denominator:
+        return False
+    y = x.numerator * (L // x.denominator)
+    least = w[y % len(w)]
+    return least is not None and least <= y
+
+
+def mem_plus_closure(a: Fraction, I: CoeffSet) -> bool:
+    """Exact membership a in I+, by one lookup in the Apéry table of I."""
     if a < 0 or a > 1:
         raise DomainError(f"argument {format_rational(a)} outside [0,1]")
-    if a == 0:
-        return True
-    gens = I.positive()
-    if not gens:
-        return False
-    denom = lcm(a.denominator, *(g.denominator for g in gens))
-    target = a.numerator * (denom // a.denominator)
-    weights = sorted({g.numerator * (denom // g.denominator) for g in gens})
-    reachable = [False] * (target + 1)
-    reachable[0] = True
-    for x in range(1, target + 1):
-        for w in weights:
-            if w > x:
-                break
-            if reachable[x - w]:
-                reachable[x] = True
-                break
-    return reachable[target]
+    return in_semigroup(a, I)
 
 
 def pos_combinations(J: CoeffSet, b: EnumBounds) -> CoeffSet:
@@ -224,6 +266,8 @@ def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
     """Exact membership a in D(I).
 
     For a < 1, f >= 0 forces m <= 1/(1-a); each m determines f = m*a-m+1.
+    Only the m for which L*f is an integer (L = I.scale) can give an f
+    in I+, and with a = p/q these are the multiples of q/gcd(q, L).
     For a = 1 the only shape is f = 1, so the test is 1 in I+.
     """
     if a < 0 or a > 1:
@@ -231,7 +275,8 @@ def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
     if a == 1:
         return mem_plus_closure(ONE, I)
     max_m = int(1 / (1 - a))
-    for m in range(1, max_m + 1):
+    step = a.denominator // gcd(a.denominator, I.scale)
+    for m in range(step, max_m + 1, step):
         f = m * a - m + 1
         if 0 <= f <= 1 and mem_plus_closure(f, I):
             return True
@@ -240,8 +285,8 @@ def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
 
 def d_d_set(I: CoeffSet, d: Fraction, b: EnumBounds) -> CoeffSet:
     """Bounded enumeration of D_d(I) = {(m-1+f+k*d)/m : m,k >= 1, f in I+}."""
-    if d < 0 or d > 1:
-        raise DomainError("shift d must lie in [0,1]")
+    if not (0 < d <= 1):
+        raise DomainError("shift d must lie in (0,1]")
     fs = plus_closure(I, b)
     out = set()
     for m in range(1, b.max_index + 1):
@@ -259,30 +304,34 @@ def mem_d_d_set(a: Fraction, I: CoeffSet, d: Fraction) -> bool:
     For a < 1: f + k*d = 1 - m*(1-a) > 0 forces m < 1/(1-a), and k*d <= that
     remainder bounds k.  For a = 1 the equation reduces to f + k*d = 1 for
     any m (m cancels), so it suffices to scan k <= 1/d at m = 1.
+
+    Only L-integral f = rest - k*d can lie in I+ (L = I.scale).  With
+    L*d = u/v in lowest terms that needs v*L*rest to be an integer, which
+    keeps m to the multiples of q/gcd(q, v*L) for a = p/q, and then
+    k*u = v*L*rest (mod v), which keeps k to one residue class mod v.
     """
     if d <= 0:
         raise DomainError("shift d must be positive")
     if a < 0 or a > 1:
         raise DomainError(f"argument {format_rational(a)} outside [0,1]")
+    L = I.scale
+    Ld = L * d
+    u, v = Ld.numerator, Ld.denominator
+    u_inv = pow(u, -1, v)
     if a == 1:
-        k = 1
-        while k * d <= 1:
-            if mem_plus_closure(1 - k * d, I):
-                return True
-            k += 1
-        return False
-    ms = []
-    m = 1
-    while m * (1 - a) < 1:
-        ms.append(m)
-        m += 1
+        ms = [1]
+    else:
+        step = a.denominator // gcd(a.denominator, v * L)
+        ms = range(step, int(1 / (1 - a)) + 1, step)
     for m in ms:
-        rest = 1 - m * (1 - a)  # = f + k*d, strictly positive here
-        k = 1
+        rest = 1 - m * (1 - a)  # = f + k*d
+        if rest <= 0:
+            break
+        k = int(v * L * rest) * u_inv % v or v
         while k * d <= rest:
             if mem_plus_closure(rest - k * d, I):
                 return True
-            k += 1
+            k += v
     return False
 
 

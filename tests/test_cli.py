@@ -32,6 +32,11 @@ class TestSetCommands:
         assert r.returncode == 0
         assert r.stdout == "1/2\n3/4\n1\n"
 
+    def test_ddset_zero_shift_exits_two(self):
+        r = run("ddset", "--I", "0", "--d", "0")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: shift d must lie in (0,1]\n"
+
 
 class TestMembership:
     def test_true_exits_zero(self):

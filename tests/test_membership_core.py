@@ -1,0 +1,329 @@
+"""Differential tests of the membership core against slow reference copies.
+
+The references are deliberately naive: an unbounded-repetition knapsack over
+the common denominator of the query and the generators, Fraction versions of
+the per-triple kernel, and straight scans over every parameter.
+"""
+
+import contextlib
+import dataclasses
+import io
+import time
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from coregcalc import cli
+from coregcalc.lctsets import Coreg1Witness, _weighted_values, mem_lct1, platonic_triples
+from coregcalc.setalg import (
+    CoeffSet,
+    DomainError,
+    in_semigroup,
+    mem_d_d_set,
+    mem_d_set,
+    mem_plus_closure,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles
+
+
+def knapsack_member(x, S):
+    """Whether x >= 0 is a finite sum of positive elements of S: a table of
+    reachable scaled values up to the scaled target."""
+    if x == 0:
+        return True
+    gens = S.positive()
+    if not gens:
+        return False
+    denom = lcm(x.denominator, *(g.denominator for g in gens))
+    target = x.numerator * (denom // x.denominator)
+    weights = sorted({g.numerator * (denom // g.denominator) for g in gens})
+    reachable = [False] * (target + 1)
+    reachable[0] = True
+    for v in range(1, target + 1):
+        for w in weights:
+            if w > v:
+                break
+            if reachable[v - w]:
+                reachable[v] = True
+                break
+    return reachable[target]
+
+
+def sums_up_to(gens, cap):
+    """All finite sums (0 included) of the positive gens that are <= cap."""
+    pos = [g for g in gens if g > 0]
+    seen = {F(0)}
+    frontier = [F(0)]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in pos:
+                t = s + g
+                if t <= cap and t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return seen
+
+
+def weighted_values_reference(tr, parts, extras, cap):
+    p, q, r = tr.p, tr.q, tr.r
+    out = set()
+    for x1 in parts:
+        for x2 in parts:
+            for x3 in parts:
+                for e in extras:
+                    w = q * r * x1 + p * r * x2 + p * q * x3 + p * q * r * e
+                    if w <= cap:
+                        out.add(w)
+    return out
+
+
+def mem_lct1_reference(t, I, J, triple_bound):
+    """First witness over triples in order, then ascending j; the tails are
+    sums of elements of I+ and J+ (which drop elements above 1)."""
+    iplus = sums_up_to(I.positive(), 1)
+    jplus = sums_up_to(J.positive(), 1)
+    for tr in platonic_triples(triple_bound):
+        base = tr.base
+        pqr = tr.p * tr.q * tr.r
+        weights = (tr.q * tr.r, tr.p * tr.r, tr.p * tr.q)
+        ivals = weighted_values_reference(tr, iplus, sums_up_to(iplus, base / pqr), base)
+        if t == 0:
+            jpos = [j for j in jplus if j > 0]
+            if base in ivals and jpos:
+                jw = min(w * min(jpos) for w in weights)
+                return True, Coreg1Witness(tr.p, tr.q, tr.r, base, jw)
+            continue
+        jcap = base / t
+        jvals = weighted_values_reference(tr, jplus, sums_up_to(jplus, jcap / pqr), jcap)
+        for j in sorted(jvals - {0}):
+            if base - t * j in ivals:
+                return True, Coreg1Witness(tr.p, tr.q, tr.r, base - t * j, j)
+    return False, None
+
+
+def mem_d_set_reference(a, I):
+    if a == 1:
+        return knapsack_member(F(1), I)
+    for m in range(1, int(1 / (1 - a)) + 1):
+        f = m * a - m + 1
+        if 0 <= f <= 1 and knapsack_member(f, I):
+            return True
+    return False
+
+
+def mem_d_d_set_reference(a, I, d):
+    m = 1
+    while True:
+        rest = 1 - m * (1 - a)
+        if rest <= 0:
+            return False
+        k = 1
+        while k * d <= rest:
+            if knapsack_member(rest - k * d, I):
+                return True
+            k += 1
+        if a == 1:
+            return False
+        m += 1
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+def rationals(lo, hi, max_denominator):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=max_denominator)
+
+
+generator_sets = st.lists(rationals(0, 2, 8), max_size=3).map(CoeffSet.of)
+# targets above 1 and with denominators that L often does not divide
+targets = rationals(0, 4, 9)
+
+
+class TestInSemigroup:
+    @given(generator_sets, targets)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_knapsack(self, S, x):
+        assert in_semigroup(x, S) == knapsack_member(x, S)
+
+    @given(st.lists(st.integers(1, 30), min_size=1, max_size=4).map(CoeffSet.of))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_generators_agree_with_knapsack(self, S):
+        assert [n for n in range(100) if in_semigroup(F(n), S)] == [
+            n for n in range(100) if knapsack_member(F(n), S)
+        ]
+
+    @given(generator_sets, rationals(0, 1, 9))
+    @settings(max_examples=200, deadline=None)
+    def test_mem_plus_closure_agrees_with_knapsack(self, I, a):
+        assert mem_plus_closure(a, I) == knapsack_member(a, I)
+
+    @given(generator_sets, st.integers(1, 60), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_non_integral_targets(self, S, num, den):
+        # x = num/(den*L) is never a sum unless it is L-integral
+        L = S.scale
+        x = F(num, den * L)
+        assert in_semigroup(x, S) == knapsack_member(x, S)
+        if x.denominator > L:
+            assert not in_semigroup(x, S)
+
+    @pytest.mark.parametrize(
+        "gens,frobenius",
+        [("3,5", 7), ("3,4,5", 2), ("6,9,20", 43), ("1/3,2/5", F(19, 15))],
+    )
+    def test_frobenius_number(self, gens, frobenius):
+        S = CoeffSet.parse(gens)
+        assert not in_semigroup(F(frobenius), S)
+        L = S.scale
+        for n in range(1, 40):
+            assert in_semigroup(frobenius + F(n, L), S)
+
+    def test_common_divisor_leaves_classes_empty(self):
+        S = CoeffSet.parse("4,6")
+        assert [n for n in range(13) if in_semigroup(F(n), S)] == [0, 4, 6, 8, 10, 12]
+        assert None in S.apery
+
+    def test_no_positive_generator(self):
+        for S in (CoeffSet.of([]), CoeffSet.parse("0")):
+            assert in_semigroup(F(0), S)
+            assert not in_semigroup(F(1), S)
+            assert not in_semigroup(F(1, 2), S)
+
+    def test_targets_below_smallest_generator_need_no_table(self):
+        # the table would have 5*10^8 entries, one per 1/L below 1/2
+        S = CoeffSet.parse("1/2,999999937/1000000000")
+        assert not in_semigroup(F(1, 1000), S)
+        assert in_semigroup(F(0), S)
+        assert not mem_d_set(F(1, 1000), S)
+        assert mem_d_d_set(F(1, 1000), S, F(1, 2000))  # m = 1, k = 2, f = 0
+        assert "apery" not in vars(S)
+
+    def test_rejects_negative(self):
+        with pytest.raises(DomainError):
+            in_semigroup(F(-1, 2), CoeffSet.parse("1/2"))
+
+    def test_table_is_cached_and_not_a_field(self):
+        S = CoeffSet.parse("1/3,2/5")
+        assert S.apery is S.apery
+        assert not {"scale", "apery"} & {f.name for f in dataclasses.fields(CoeffSet)}
+        T = CoeffSet.parse("2/5,1/3")
+        assert S == T and hash(S) == hash(T)
+
+
+class TestDerivedSetDeciders:
+    @given(generator_sets, rationals(0, 1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_mem_d_set_agrees_with_full_scan(self, I, a):
+        assert mem_d_set(a, I) == mem_d_set_reference(a, I)
+
+    @given(generator_sets, rationals(0, 1, 24), rationals(F(1, 12), 1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_mem_d_d_set_agrees_with_full_scan(self, I, a, d):
+        assume(d > 0)
+        assert mem_d_d_set(a, I, d) == mem_d_d_set_reference(a, I, d)
+
+
+def built_member(I, picks, m, k, d):
+    """(m-1+f+k*d)/m, with f the longest prefix sum of picks from I that
+    stays <= 1 - k*d."""
+    f = F(0)
+    gens = I.positive()
+    for idx in picks if gens else ():
+        g = gens[idx % len(gens)]
+        if f + g + k * d > 1:
+            break
+        f += g
+    return (m - 1 + f + k * d) / m
+
+
+picks = st.lists(st.integers(0, 2), max_size=4)
+
+
+class TestDerivedSetMembers:
+    @given(generator_sets, picks, st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_built_members_of_d_set(self, I, picks, m):
+        a = built_member(I, picks, m, 0, F(0))
+        assert mem_d_set(a, I)
+
+    @given(generator_sets, picks, st.integers(1, 8), rationals(F(1, 12), 1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_built_members_of_d_d_set(self, I, picks, m, d):
+        assume(d > 0)
+        for k in range(1, int(1 / d) + 1):
+            assert mem_d_d_set(built_member(I, picks, m, k, d), I, d)
+
+
+class TestWeightedValues:
+    @given(
+        st.sampled_from(platonic_triples(5)),
+        st.lists(rationals(0, 1, 6), max_size=4),
+        st.lists(rationals(0, 1, 6), max_size=3),
+        rationals(0, 12, 7),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_fraction_reference(self, tr, parts, extras, cap):
+        parts = {F(0), *parts}
+        extras = {F(0), *extras}
+        assert _weighted_values(tr, parts, extras, cap) == weighted_values_reference(
+            tr, parts, extras, cap
+        )
+
+
+class TestMemLct1:
+    @given(
+        st.lists(rationals(F(1, 6), F(3, 2), 6), min_size=1, max_size=2).map(CoeffSet.of),
+        st.lists(rationals(F(1, 4), 3, 4), min_size=1, max_size=2).map(CoeffSet.of),
+        rationals(0, 2, 6),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_verdict_and_witness_agree_with_reference(self, I, J, t, bound):
+        res = mem_lct1(t, I, J, bound)
+        assert (res.found, res.witness) == mem_lct1_reference(t, I, J, bound)
+        if res.found:
+            assert res.witness.value() == t
+
+    def test_tail_is_generated_by_j_plus(self):
+        # J+ = {0, 1}: 3/2 exceeds 1, so no j uses it, even in the tail.
+        # A tail over J would give t = 2/3 the witness j = 3/2 at (1,1,1).
+        I, J = CoeffSet.parse("1"), CoeffSet.parse("1,3/2")
+        res = mem_lct1(F(2, 3), I, J, 3)
+        assert str(res.witness) == "c1(p=1,q=1,r=1,i=0,j=3)"
+        for t in (F(4, 9), F(1, 3), F(2, 9)):
+            res = mem_lct1(t, I, J, 3)
+            assert (res.found, res.witness) == mem_lct1_reference(t, I, J, 3)
+            assert not res.found or res.witness.j.denominator == 1
+
+
+# ---------------------------------------------------------------------------
+# queries whose cost grew with their numerators under a per-call knapsack
+# (seconds to minutes each); with the Apéry table each takes milliseconds
+
+
+GUARD_QUERIES = [
+    ("mem lct0 1/997 --I 1/3,2/5 --J 1/2,1", 0, "true c0(i=0,j=997)\n"),
+    ("mem dset 9999/10000 --I 1/3,2/5", 0, "true\n"),
+    ("mem plus 1/2 --I 2/999983,3/7", 1, "false\n"),
+    ("mem ddset 9999/10000 --I 1/3,2/5 --d 1/997", 1, "false\n"),
+    ("lemma-check ddi --I 1/3,2/5 --bounds terms=4,index=12", 0, "true\n"),
+]
+
+
+@pytest.mark.parametrize("query,code,stdout", GUARD_QUERIES)
+def test_exact_decider_query_is_fast(query, code, stdout):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        got = cli.run(query.split())
+    assert time.perf_counter() - start < 5
+    assert (got, out.getvalue()) == (code, stdout)

@@ -170,6 +170,12 @@ class TestDDSet:
         with pytest.raises(DomainError):
             mem_d_d_set(F(1, 2), cs("0"), F(0))
 
+    @pytest.mark.parametrize("d", [F(0), F(-1, 2), F(3, 2)])
+    def test_enumeration_rejects_shift_outside_domain(self, d):
+        # same domain (0,1] as mem_d_d_set and check_dd_monotone
+        with pytest.raises(DomainError):
+            d_d_set(cs("1/2"), d, EnumBounds(4, 3))
+
     @given(small_sets, st.fractions(min_value=F(1, 4), max_value=1, max_denominator=4), small_rationals)
     @settings(max_examples=40, deadline=None)
     def test_mem_agrees_with_enumeration(self, I, d, a):
