@@ -7,6 +7,7 @@ bound, 2 usage or domain error.
 """
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -68,7 +69,9 @@ def _add_set_args(p, need_j=False):
     )
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and reused by every `run`."""
     parser = argparse.ArgumentParser(
         prog="coregcalc",
         description="Exact coefficient-set calculus and threshold sets of "

@@ -15,7 +15,7 @@ lattice-point scan provides an independent oracle for that fact.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .dualcx import StratifiedBoundary
@@ -23,51 +23,37 @@ from .rationals import parse_rational
 from .setalg import DomainError
 
 INFINITY = None  # threshold of a pair with c identically zero
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for cc in range(col, n):
-                    m[r][cc] -= factor * m[col][cc]
-    return det
-
-
-def _solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve the square system exactly (matrix assumed nonsingular)."""
-    n = len(matrix)
-    aug = [list(map(Fraction, matrix[r])) + [Fraction(rhs[r])] for r in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("singular ray matrix (corrupt cone input)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+# Largest lattice box, (2r+1)^n points, that toric_lct_oracle will scan.
+MAX_ORACLE_POINTS = 10**6
 
 
 def _primitivize(vec: tuple[int, ...]) -> tuple[int, ...]:
     g = gcd(*[abs(x) for x in vec]) if any(vec) else 1
     return tuple(x // g for x in vec) if g > 1 else tuple(vec)
+
+
+def _dual_basis(rays: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Determinant and dual basis of the rays: integer w_i with w_i . v_j = det
+    if i == j, else 0 (the rows of adj(rays^T)).  Fraction-free (Bareiss)
+    Gauss-Jordan on [rays^T | I]: its divisions are exact, and it ends at
+    [s*det*I | s*adj] with s the sign of the row swaps."""
+    n = len(rays)
+    m = [list(col) + [int(i == r) for i in range(n)] for r, col in enumerate(zip(*rays))]
+    sign = prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            raise DomainError("rays are linearly dependent")
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        row_k, p = m[k], m[k][k]
+        for r in range(n):
+            if r != k:
+                f = m[r][k]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], row_k)]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
 @dataclass(frozen=True)
@@ -76,6 +62,8 @@ class SimplicialCone:
 
     def __post_init__(self):
         n = self.dim
+        if n == 0:
+            raise DomainError("a cone needs at least one ray")
         rays = []
         for ray in self.rays:
             if len(ray) != n:
@@ -84,8 +72,10 @@ class SimplicialCone:
                 raise DomainError("zero vector is not a ray")
             rays.append(_primitivize(tuple(int(x) for x in ray)))
         object.__setattr__(self, "rays", tuple(rays))
-        if _det([[Fraction(x) for x in r] for r in self.rays]) == 0:
-            raise DomainError("rays are linearly dependent")
+        # not dataclass fields, so equality and hashing still see only the rays
+        det, dual = _dual_basis(self.rays)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "dual", dual)
 
     @property
     def dim(self) -> int:
@@ -93,11 +83,12 @@ class SimplicialCone:
 
     def coordinates(self, v: tuple[int, ...]) -> list[Fraction]:
         """Coefficients of v in the ray basis (exact)."""
-        cols = [[Fraction(self.rays[j][i]) for j in range(self.dim)] for i in range(self.dim)]
-        return _solve(cols, [Fraction(x) for x in v])
+        return [Fraction(sum(a * x for a, x in zip(w, v)), self.det) for w in self.dual]
 
     def contains(self, v: tuple[int, ...]) -> bool:
-        return all(x >= 0 for x in self.coordinates(v))
+        """Whether every ray coordinate of v (dot product times det) is >= 0."""
+        det = self.det
+        return all(sum(a * x for a, x in zip(w, v)) * det >= 0 for w in self.dual)
 
 
 @dataclass(frozen=True)
@@ -118,15 +109,17 @@ class ToricPair:
 
 def discrepancy_functional(tp: ToricPair, which: str) -> tuple[Fraction, ...]:
     """The unique linear functional with value 1-b_i ("boundary") or c_i
-    ("gamma") on each ray generator; exact n-by-n solve."""
+    ("gamma") on each ray generator: sum_i target_i * w_i / det over the
+    dual basis of the cone."""
     if which == "boundary":
         targets = [1 - bi for bi in tp.b]
     elif which == "gamma":
         targets = list(tp.c)
     else:
         raise DomainError(f"unknown functional {which!r}")
-    rows = [[Fraction(x) for x in ray] for ray in tp.cone.rays]
-    return tuple(_solve(rows, targets))
+    cone = tp.cone
+    return tuple(Fraction(sum(t * w[k] for t, w in zip(targets, cone.dual)), cone.det)
+                 for k in range(cone.dim))
 
 
 def toric_lct(tp: ToricPair) -> Optional[Fraction]:
@@ -137,16 +130,22 @@ def toric_lct(tp: ToricPair) -> Optional[Fraction]:
 
 def toric_lct_oracle(tp: ToricPair, box_radius: int) -> Optional[Fraction]:
     """Independent check: minimize psi_B(v)/psi_C(v) over primitive lattice
-    vectors of the cone with coordinates in [-box_radius, box_radius]."""
+    vectors of the cone with coordinates in [-box_radius, box_radius], in
+    integers: both functionals scaled by one common denominator."""
     max_coord = max(abs(x) for ray in tp.cone.rays for x in ray)
     if box_radius < max_coord:
         raise DomainError("box radius must cover the ray generators")
+    n = tp.cone.dim
+    points = (2 * box_radius + 1) ** n
+    if points > MAX_ORACLE_POINTS:
+        raise DomainError(f"oracle box has {points} points, above the cap {MAX_ORACLE_POINTS}")
     if all(ci == 0 for ci in tp.c):
         return INFINITY
     psi_b = discrepancy_functional(tp, "boundary")
     psi_c = discrepancy_functional(tp, "gamma")
-    n = tp.cone.dim
-    best = None
+    scale = lcm(*(x.denominator for x in psi_b + psi_c))
+    psi_b, psi_c = ([int(x * scale) for x in psi] for psi in (psi_b, psi_c))
+    best_num, best_denom = None, 1
     for v in itertools.product(range(-box_radius, box_radius + 1), repeat=n):
         if not any(v):
             continue
@@ -158,10 +157,9 @@ def toric_lct_oracle(tp: ToricPair, box_radius: int) -> Optional[Fraction]:
         if denom <= 0:
             continue
         num = sum(a * x for a, x in zip(psi_b, v))
-        ratio = num / denom
-        if best is None or ratio < best:
-            best = ratio
-    return best
+        if best_num is None or num * best_denom < best_num * denom:
+            best_num, best_denom = num, denom
+    return INFINITY if best_num is None else Fraction(best_num, best_denom)
 
 
 def toric_stratification(cone: SimplicialCone, reduced: tuple[int, ...]) -> StratifiedBoundary:
@@ -184,20 +182,14 @@ def toric_stratification(cone: SimplicialCone, reduced: tuple[int, ...]) -> Stra
 def parse_toric_pair(text: str) -> ToricPair:
     """Parse the line format: `dim n`, n ray lines of n integers,
     `b: ...`, `c: ...` with rationals as p/q."""
-    lines = [
-        ln.split("#", 1)[0].strip()
-        for ln in text.splitlines()
-        if ln.split("#", 1)[0].strip()
-    ]
-    if not lines or not lines[0].startswith("dim"):
-        raise DomainError("cone file must start with `dim n`")
-    n = int(lines[0].split()[1])
+    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "dim" or not head[1].isdecimal() or int(head[1]) < 1:
+        raise DomainError("cone file must start with `dim n`, n a positive integer")
+    n = int(head[1])
     if len(lines) < n + 3:
         raise DomainError("cone file is truncated")
-    rays = []
-    for k in range(1, n + 1):
-        entries = [int(x) for x in lines[k].split()]
-        rays.append(tuple(entries))
+    rays = [tuple(int(x) for x in ln.split()) for ln in lines[1:n + 1]]
     b = c = None
     for ln in lines[n + 1:]:
         if ln.startswith("b:"):

@@ -7,12 +7,12 @@ import pytest
 CMD = [sys.executable, "-m", "coregcalc.cli"]
 
 
-def run(*args, env_extra=None):
+def run(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CMD + list(args), capture_output=True, text=True, env=env
+        CMD + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -127,6 +127,24 @@ class TestFileCommands:
         r = run("toric-lct", str(f), "--oracle", "8")
         assert r.returncode == 0
         assert r.stdout == "1/2\noracle 1/2 (agrees)\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["dim\nb: \nc: \n", "dim x\n1 0\n0 1\nb: 0 0\nc: 1 1\n", "dim 0\nb: \nc: \n"],
+    )
+    def test_malformed_dimension_exits_two(self, tmp_path, text):
+        f = tmp_path / "cone.txt"
+        f.write_text(text)
+        r = run("toric-lct", str(f), "--oracle", "3")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: cone file must start with `dim n`, n a positive integer\n"
+
+    def test_oracle_box_too_large_exits_two(self, tmp_path):
+        f = tmp_path / "cone.txt"
+        f.write_text("dim 2\n1 0\n1 2\nb: 0 1/2\nc: 1 1\n")
+        r = run("toric-lct", str(f), "--oracle", "1000", timeout=30)
+        assert r.returncode == 2 and r.stdout == "1/2\n"
+        assert r.stderr == "error: oracle box has 4004001 points, above the cap 1000000\n"
 
     def test_missing_file_exits_two(self):
         r = run("toric-lct", "/no/such/file")

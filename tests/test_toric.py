@@ -164,3 +164,8 @@ c: 1 1
     def test_header_required(self):
         with pytest.raises(DomainError):
             parse_toric_pair("1 0\n0 1\n")
+
+    @pytest.mark.parametrize("head", ["dim", "dim two", "dim 2/1", "dim 2 2", "dim 0", "dim -1"])
+    def test_malformed_dimension_rejected(self, head):
+        with pytest.raises(DomainError, match="positive integer"):
+            parse_toric_pair(head + "\n1 0\n0 1\nb: 0 0\nc: 1 1\n")
