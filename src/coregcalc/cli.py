@@ -7,6 +7,7 @@ bound, 2 usage or domain error.
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -41,6 +42,12 @@ def _parse_bounds(text, default_terms=12):
             else:
                 raise DomainError(f"unknown bounds key {key!r}")
     return EnumBounds(terms, index, value, denom)
+
+
+def _verdict(ok, out, detail=""):
+    """Write `true<detail>` or `false`; the exit code is 0 or 1 to match."""
+    out.write((f"true{detail}" if ok else "false") + "\n")
+    return 0 if ok else 1
 
 
 def _print_set(elements, out):
@@ -195,6 +202,7 @@ def run(argv) -> int:
     out = sys.stdout
     I = _parse_set(getattr(args, "I", None))
     b = _parse_bounds(getattr(args, "bounds", None))
+    J = _parse_set(getattr(args, "J", None))
 
     if args.command == "plus":
         _print_set(setalg.plus_closure(I, b), out)
@@ -209,26 +217,18 @@ def run(argv) -> int:
         return 0
 
     if args.command == "mem":
-        J = _parse_set(args.J)
         a = parse_rational(args.value)
         if args.target == "plus":
-            ok = setalg.mem_plus_closure(a, I)
-            out.write(("true" if ok else "false") + "\n")
-            return 0 if ok else 1
+            return _verdict(setalg.mem_plus_closure(a, I), out)
         if args.target == "dset":
-            ok = setalg.mem_d_set(a, I)
-            out.write(("true" if ok else "false") + "\n")
-            return 0 if ok else 1
+            return _verdict(setalg.mem_d_set(a, I), out)
         if args.target == "ddset":
             if args.d is None:
                 raise DomainError("the ddset target needs --d")
-            ok = setalg.mem_d_d_set(a, I, parse_rational(args.d))
-            out.write(("true" if ok else "false") + "\n")
-            return 0 if ok else 1
+            return _verdict(setalg.mem_d_d_set(a, I, parse_rational(args.d)), out)
         if args.target == "lct0":
             ok, w = lctsets.mem_lct0(a, I, J)
-            out.write((f"true {w}" if ok else "false") + "\n")
-            return 0 if ok else 1
+            return _verdict(ok, out, f" {w}")
         res = lctsets.mem_lct1(a, I, J, args.triple_bound)
         if res.found:
             out.write(f"true {res.witness}\n")
@@ -237,34 +237,29 @@ def run(argv) -> int:
         return 1
 
     if args.command == "lct0":
-        J = _parse_set(args.J)
         # `value=V` doubles as the reduced-denominator cap unless denom= is given
         if b.max_denominator is None and b.max_value is not None and b.max_value.denominator == 1:
-            b = EnumBounds(b.max_terms, b.max_index, b.max_value, int(b.max_value))
+            b = dataclasses.replace(b, max_denominator=int(b.max_value))
         _print_lct_set(lctsets.lct0_enumerate(I, J, b), args.witness, out)
         return 0
 
     if args.command == "lct1":
-        J = _parse_set(args.J)
         ls = lctsets.lct1_enumerate(I, J, b, extra_terms=not args.three_term)
         _print_lct_set(ls, args.witness, out)
         return 0
 
     if args.command == "p1-oracle":
-        J = _parse_set(args.J)
         ls = lctsets.p1_oracle(I, J, args.degree, b, cap_unit=not args.no_cap_unit)
         _print_lct_set(ls, args.witness, out)
         return 0
 
     if args.command == "acc-above":
-        J = _parse_set(args.J)
         w = lctsets.verify_acc_above(I, J, args.c, parse_rational(args.t), args.triple_cutoff)
         out.write(f"# {w.detail}\n")
         _print_lct_set(w.elements, args.witness, out)
         return 0
 
     if args.command == "accum":
-        J = _parse_set(args.J)
         cands, violations = lctsets.accumulation_candidates(I, J, args.c, b)
         for v in violations:
             out.write(f"# hypothesis violation: {v}\n")
@@ -307,10 +302,10 @@ def run(argv) -> int:
             if args.d is None:
                 raise DomainError("dd-monotone needs --d")
             ok, bad = setalg.check_dd_monotone(I, parse_rational(args.d), b)
-        out.write(("true" if ok else "false") + "\n")
+        code = _verdict(ok, out)
         for item in bad:
             out.write(f"counterexample: {item}\n")
-        return 0 if ok else 1
+        return code
 
     raise AssertionError(f"unhandled command {args.command}")
 

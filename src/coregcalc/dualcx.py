@@ -89,9 +89,6 @@ class Simplex:
 class DualComplex:
     simplices: tuple[Simplex, ...]
 
-    def vertices(self) -> list[Simplex]:
-        return [s for s in self.simplices if s.dim == 0]
-
     def maximal(self) -> list[Simplex]:
         supports = {s.support for s in self.simplices}
         return [
@@ -141,24 +138,31 @@ def regularity_coregularity(sb: StratifiedBoundary) -> tuple[int, int]:
 def parse_stratification(text: str) -> StratifiedBoundary:
     """Parse the line format: `dim <n>`, `divisors <r>`, then
     `stratum <comma-separated indices> <count>` lines (1-based indices;
-    singletons may be omitted)."""
-    dim = None
-    ndiv = None
+    singletons may be omitted).  Each header and each stratum appears at
+    most once, and no index repeats within a stratum: the answer must not
+    depend on which of two conflicting lines is read last."""
+    headers: dict[str, int] = {}
     strata: dict[frozenset, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "dim" and len(parts) == 2:
-            dim = int(parts[1])
-        elif parts[0] == "divisors" and len(parts) == 2:
-            ndiv = int(parts[1])
+        if parts[0] in ("dim", "divisors") and len(parts) == 2:
+            if parts[0] in headers:
+                raise DomainError(f"line {lineno}: repeated `{parts[0]}` header")
+            headers[parts[0]] = int(parts[1])
         elif parts[0] == "stratum" and len(parts) == 3:
-            idx = frozenset(int(x) - 1 for x in parts[1].split(","))
+            indices = [int(x) - 1 for x in parts[1].split(",")]
+            idx = frozenset(indices)
+            if len(idx) != len(indices):
+                raise DomainError(f"line {lineno}: repeated divisor index in stratum {parts[1]}")
+            if idx in strata:
+                raise DomainError(f"line {lineno}: stratum {parts[1]} is listed twice")
             strata[idx] = int(parts[2])
         else:
             raise DomainError(f"line {lineno}: cannot parse {raw!r}")
-    if dim is None or ndiv is None:
+    if set(headers) != {"dim", "divisors"}:
         raise DomainError("stratification file needs `dim` and `divisors` headers")
-    return StratifiedBoundary.build(dim, [f"E{i + 1}" for i in range(ndiv)], strata)
+    ndiv = headers["divisors"]
+    return StratifiedBoundary.build(headers["dim"], [f"E{i + 1}" for i in range(ndiv)], strata)

@@ -17,11 +17,14 @@ witness from which the defining formula can be replayed exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Optional, Union
 
 from .rationals import format_rational
 from .setalg import (
+    ONE,
+    ZERO,
     CoeffSet,
     DomainError,
     EnumBounds,
@@ -30,10 +33,8 @@ from .setalg import (
     plus_closure_exact,
     pos_combinations,
     pos_combinations_exact,
+    sums,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +165,25 @@ def _denominator_filter(items, b: EnumBounds):
     return [(v, w) for v, w in items if v.denominator <= b.max_denominator]
 
 
+def _thresholds(base: Fraction, ivals, jvals, witness, floor: Optional[Fraction] = None) -> list:
+    """(v, witness(i, j)) for each v = (base - i)/j >= 0, over i in ivals and
+    positive j in jvals, keeping only v >= floor when a floor is given."""
+    out = []
+    for i in ivals:
+        num = base - i
+        if num < 0:
+            continue
+        for j in jvals:
+            v = num / j
+            if floor is None or v >= floor:
+                out.append((v, witness(i, j)))
+    return out
+
+
 def lct0_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds) -> LctSet:
     """Bounded enumeration of {(1-i)/j >= 0}; i runs over the bounded I+,
     j over positive combinations of J up to b.max_value."""
-    js = pos_combinations(J, b)
-    out = []
-    for i in plus_closure(I, b):
-        for j in js:
-            t = (1 - i) / j
-            if t >= 0:
-                out.append((t, Coreg0Witness(i, j)))
+    out = _thresholds(ONE, plus_closure(I, b), pos_combinations(J, b), Coreg0Witness)
     return LctSet.collect(_denominator_filter(out, b))
 
 
@@ -242,35 +252,6 @@ def platonic_triples(bound: int) -> list[PlatonicTriple]:
     return out
 
 
-def _bounded_sums(values, max_count: int, cap: Fraction):
-    """Sums of at most max_count elements of `values` (with repetition),
-    each sum <= cap; includes the empty sum 0."""
-    seen = {ZERO}
-    frontier = {ZERO}
-    pos = [v for v in values if v > 0]
-    for _ in range(max_count):
-        nxt = set()
-        for s in frontier:
-            for v in pos:
-                u = s + v
-                if u <= cap and u not in seen:
-                    seen.add(u)
-                    nxt.add(u)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
-
-
-def _exact_sums(values, cap: Fraction):
-    """All sums of arbitrarily many elements of `values` up to cap,
-    including 0 (terminates: positive elements are bounded below)."""
-    pos = CoeffSet.of(v for v in values if v > 0)
-    if not pos.positive():
-        return {ZERO}
-    return {ZERO} | set(pos_combinations_exact(pos, cap))
-
-
 def _weighted_values(tr: PlatonicTriple, parts, extras, cap: Fraction):
     """{qr*x1 + pr*x2 + pq*x3 + pqr*e <= cap} over the given slot values.
 
@@ -306,6 +287,23 @@ def _weighted_values(tr: PlatonicTriple, parts, extras, cap: Fraction):
     return {Fraction(s, D) for s in out}
 
 
+def _triple_values(tr: PlatonicTriple, iplus, jplus, jcap: Fraction, tail: Optional[int]):
+    """The i-values and the positive j-values of one triple.
+
+    Both are qr*x1 + pr*x2 + pq*x3 + pqr*e with the x in I+ (resp. J+) and
+    e a sum of at most `tail` elements of I+ (resp. J+), no limit when None.
+    The tails are generated by I+ and J+, not I and J, which differ when an
+    element exceeds 1.  i-values are capped at the base qr+pr+pq-pqr,
+    j-values at jcap.
+    """
+    base = tr.base
+    pqr = tr.p * tr.q * tr.r
+    ivals = _weighted_values(tr, iplus, sums(iplus, base / pqr, tail), base)
+    jvals = _weighted_values(tr, jplus, sums(jplus, jcap / pqr, tail), jcap)
+    jvals.discard(ZERO)
+    return ivals, jvals
+
+
 def lct1_weighted(
     tr: PlatonicTriple,
     I: CoeffSet,
@@ -315,30 +313,18 @@ def lct1_weighted(
 ) -> LctSet:
     """Weighted thresholds (qr+pr+pq-pqr-i)/j >= 0 for one triple.
 
-    With extra_terms (the default) the pqr-weighted tail is included in both
-    the i- and j-combinations, which is what realizes the torus-symmetry
-    family values; without it only the three displayed slots are used.
+    With extra_terms (the default) the pqr-weighted tail of up to
+    b.max_terms - 3 summands is included in both the i- and j-combinations,
+    which is what realizes the torus-symmetry family values; without it
+    only the three displayed slots are used.
     """
-    base = tr.base
-    iplus = plus_closure(I, b)
-    jplus = plus_closure(J, b)
-    tail = b.max_terms - 3 if extra_terms else 0
-    pqr = tr.p * tr.q * tr.r
-    iextras = _bounded_sums(iplus, max(tail, 0), base / pqr) if tail > 0 else {ZERO}
-    jextras = _bounded_sums(jplus, max(tail, 0), Fraction(max(tail, 0))) if tail > 0 else {ZERO}
-    ivals = _weighted_values(tr, iplus, iextras, base)
-    jcap = Fraction(tr.q * tr.r + tr.p * tr.r + tr.p * tr.q + pqr * max(tail, 0))
-    jvals = _weighted_values(tr, jplus, jextras, jcap)
-    jvals.discard(ZERO)
+    tail = max(b.max_terms - 3, 0) if extra_terms else 0
+    # the largest j-value, since the elements of J+ are at most 1: it never binds
+    jcap = Fraction(tr.q * tr.r + tr.p * tr.r + tr.p * tr.q + tr.p * tr.q * tr.r * tail)
+    ivals, jvals = _triple_values(tr, plus_closure(I, b), plus_closure(J, b), jcap, tail)
     if not jvals:
         raise DomainError("no positive j-combination exists")
-    out = []
-    for i in ivals:
-        num = base - i
-        if num < 0:
-            continue
-        for j in jvals:
-            out.append((num / j, Coreg1Witness(tr.p, tr.q, tr.r, i, j)))
+    out = _thresholds(tr.base, ivals, jvals, partial(Coreg1Witness, tr.p, tr.q, tr.r))
     return LctSet.collect(_denominator_filter(out, b))
 
 
@@ -379,9 +365,7 @@ def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> MemRes
     jexact = plus_closure_exact(J)
     for tr in platonic_triples(triple_bound):
         base = tr.base
-        pqr = tr.p * tr.q * tr.r
-        iextras = _exact_sums(iexact, base / pqr)
-        ivals = _weighted_values(tr, iexact, iextras, base)
+        ivals, jvals = _triple_values(tr, iexact, jexact, base / t if t else ZERO, None)
         if t == 0:
             if base in ivals:
                 jmin = jexact.min_positive
@@ -389,10 +373,6 @@ def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> MemRes
                     jw = min(w * jmin for w in (tr.q * tr.r, tr.p * tr.r, tr.p * tr.q))
                     return MemResult(True, Coreg1Witness(tr.p, tr.q, tr.r, base, jw), triple_bound)
             continue
-        jcap = base / t
-        jextras = _exact_sums(jexact, jcap / pqr)
-        jvals = _weighted_values(tr, jexact, jextras, jcap)
-        jvals.discard(ZERO)
         for j in sorted(jvals):
             i = base - t * j
             if i >= 0 and i in ivals:
@@ -507,12 +487,7 @@ def verify_acc_above(
         if J.min_positive is None:
             raise DomainError("J needs a positive element")
         js = pos_combinations_exact(J, 1 / t)
-        out = []
-        for i in plus_closure_exact(I):
-            for j in js:
-                v = (1 - i) / j
-                if v >= t:
-                    out.append((v, Coreg0Witness(i, j)))
+        out = _thresholds(ONE, plus_closure_exact(I), js, Coreg0Witness, t)
         return AccWitness(
             LctSet.collect(out), t, True,
             f"exact: j <= {format_rational(1 / t)}, full I+ enumerated",
@@ -523,20 +498,9 @@ def verify_acc_above(
         jexact = plus_closure_exact(J)
         out = []
         for tr in platonic_triples(cutoff):
-            base = tr.base
-            pqr = tr.p * tr.q * tr.r
-            ivals = _weighted_values(tr, iexact, _exact_sums(iexact, base / pqr), base)
-            jcap = base / t
-            jvals = _weighted_values(tr, jexact, _exact_sums(jexact, jcap / pqr), jcap)
-            jvals.discard(ZERO)
-            for i in ivals:
-                num = base - i
-                if num < 0:
-                    continue
-                for j in jvals:
-                    v = num / j
-                    if v >= t:
-                        out.append((v, Coreg1Witness(tr.p, tr.q, tr.r, i, j)))
+            ivals, jvals = _triple_values(tr, iexact, jexact, tr.base / t, None)
+            witness = partial(Coreg1Witness, tr.p, tr.q, tr.r)
+            out += _thresholds(tr.base, ivals, jvals, witness, t)
         return AccWitness(
             LctSet.collect(out), t, False,
             f"exact per triple; triple family cut off at max index {cutoff}",
@@ -578,8 +542,8 @@ def accumulation_candidates(
         iplus = plus_closure(I, b)
         jplus = plus_closure(J, b)
         tail = max(b.max_terms - 3, 0)
-        iextras = _bounded_sums(iplus, tail, Fraction(2))
-        jextras = _bounded_sums(jplus, tail, Fraction(tail) if tail else ZERO)
+        iextras = sums(iplus, Fraction(2), tail)
+        jextras = sums(jplus, Fraction(tail), tail)
         shapes = [(2, 2)] + [(1, q0) for q0 in range(1, b.max_index + 1)]
         for p, q in shapes:
             # r -> infinity: numerator slope (p+q-pq) - (q*i1 + p*i2 + pq*ei),

@@ -139,41 +139,41 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
+def sums(gens: Iterable[Fraction], cap: Fraction, max_terms: Optional[int] = None) -> set[Fraction]:
+    """0 and every sum of at most max_terms positive elements of gens (with
+    repetition; no limit when None) that is at most cap.
+
+    Breadth-first: round k reaches each sum whose shortest representation
+    has k terms, so stopping after max_terms rounds cuts exactly.  Without a
+    term limit the search ends because the positive elements are bounded
+    below.
+    """
+    pos = [g for g in gens if g > 0]
+    seen = {ZERO}
+    frontier = {ZERO}
+    rounds = 0
+    while frontier and (max_terms is None or rounds < max_terms):
+        nxt = set()
+        for s in frontier:
+            for g in pos:
+                t = s + g
+                if t <= cap and t not in seen:
+                    seen.add(t)
+                    nxt.add(t)
+        frontier = nxt
+        rounds += 1
+    return seen
+
+
 def plus_closure(I: CoeffSet, b: EnumBounds) -> CoeffSet:
     """Bounded enumeration of I+: sums of at most b.max_terms elements of I
     (with repetition) that lie in [0,1], together with 0."""
-    gens = I.positive()
-    frontier = {ZERO}
-    seen = {ZERO}
-    for _ in range(b.max_terms):
-        nxt = set()
-        for s in frontier:
-            for g in gens:
-                t = s + g
-                if t <= 1 and t not in seen:
-                    seen.add(t)
-                    nxt.add(t)
-        if not nxt:
-            break
-        frontier = nxt
-    return CoeffSet.of(seen)
+    return CoeffSet.of(sums(I, ONE, b.max_terms))
 
 
 def plus_closure_exact(I: CoeffSet) -> CoeffSet:
     """The full set I+ (exact: term count is self-bounded by 1/min(I>0))."""
-    gens = I.positive()
-    seen = {ZERO}
-    frontier = {ZERO}
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            for g in gens:
-                t = s + g
-                if t <= 1 and t not in seen:
-                    seen.add(t)
-                    nxt.add(t)
-        frontier = nxt
-    return CoeffSet.of(seen)
+    return CoeffSet.of(sums(I, ONE))
 
 
 def in_semigroup(x: Fraction, S: CoeffSet) -> bool:
@@ -209,45 +209,19 @@ def mem_plus_closure(a: Fraction, I: CoeffSet) -> bool:
 def pos_combinations(J: CoeffSet, b: EnumBounds) -> CoeffSet:
     """All sums of 1..b.max_terms positive elements of J (with repetition)
     of total value <= b.max_value.  Not capped at 1."""
-    gens = J.positive()
-    if not gens:
+    if J.min_positive is None:
         raise DomainError("need a positive element to form positive combinations")
     if b.max_value is None:
         raise DomainError("max_value is required: the set of positive combinations is infinite")
-    seen = set()
-    frontier = {ZERO}
-    for _ in range(b.max_terms):
-        nxt = set()
-        for s in frontier:
-            for g in gens:
-                t = s + g
-                if t <= b.max_value and t not in seen:
-                    seen.add(t)
-                    nxt.add(t)
-        if not nxt:
-            break
-        frontier = nxt
-    return CoeffSet.of(seen)
+    return CoeffSet.of(sums(J, b.max_value, b.max_terms) - {ZERO})
 
 
 def pos_combinations_exact(J: CoeffSet, max_value: Fraction) -> CoeffSet:
     """All positive integral combinations of J with value <= max_value,
     with no term-count truncation (self-bounded by max_value/min(J>0))."""
-    gens = J.positive()
-    if not gens:
+    if J.min_positive is None:
         raise DomainError("need a positive element to form positive combinations")
-    seen = set()
-    frontier = {ZERO}
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            for g in gens:
-                t = s + g
-                if t <= max_value and t not in seen:
-                    seen.add(t)
-                    nxt.add(t)
-        frontier = nxt
-    return CoeffSet.of(seen)
+    return CoeffSet.of(sums(J, max_value) - {ZERO})
 
 
 def d_set(I: CoeffSet, b: EnumBounds) -> CoeffSet:
@@ -283,10 +257,14 @@ def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
     return False
 
 
-def d_d_set(I: CoeffSet, d: Fraction, b: EnumBounds) -> CoeffSet:
-    """Bounded enumeration of D_d(I) = {(m-1+f+k*d)/m : m,k >= 1, f in I+}."""
+def _check_shift(d: Fraction) -> None:
     if not (0 < d <= 1):
         raise DomainError("shift d must lie in (0,1]")
+
+
+def d_d_set(I: CoeffSet, d: Fraction, b: EnumBounds) -> CoeffSet:
+    """Bounded enumeration of D_d(I) = {(m-1+f+k*d)/m : m,k >= 1, f in I+}."""
+    _check_shift(d)
     fs = plus_closure(I, b)
     out = set()
     for m in range(1, b.max_index + 1):
@@ -310,8 +288,7 @@ def mem_d_d_set(a: Fraction, I: CoeffSet, d: Fraction) -> bool:
     keeps m to the multiples of q/gcd(q, v*L) for a = p/q, and then
     k*u = v*L*rest (mod v), which keeps k to one residue class mod v.
     """
-    if d <= 0:
-        raise DomainError("shift d must be positive")
+    _check_shift(d)
     if a < 0 or a > 1:
         raise DomainError(f"argument {format_rational(a)} outside [0,1]")
     L = I.scale
@@ -356,12 +333,9 @@ def check_ddi_lemma(I: CoeffSet, b: EnumBounds) -> tuple[bool, list]:
 def check_dd_monotone(I: CoeffSet, d: Fraction, b: EnumBounds) -> tuple[bool, list]:
     """Check that d1 in D_d(I) implies D_{d1}(I) subseteq D_d(I), on the
     bounded enumeration of the left side with exact membership on the right."""
-    if not (0 < d <= 1):
-        raise DomainError("shift d must lie in (0,1]")
+    _check_shift(d)
     bad = []
     for d1 in d_d_set(I, d, b):
-        if d1 <= 0:
-            continue
         for a in d_d_set(I, d1, b):
             if not mem_d_d_set(a, I, d):
                 bad.append((d1, a))

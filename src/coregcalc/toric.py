@@ -98,6 +98,8 @@ class ToricPair:
     c: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+        object.__setattr__(self, "c", tuple(Fraction(x) for x in self.c))
         n = self.cone.dim
         if len(self.b) != n or len(self.c) != n:
             raise DomainError("need one b and one c coefficient per ray")

@@ -1,6 +1,8 @@
+import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,11 @@ class TestMembership:
         assert r.returncode == 2
         assert r.stderr.startswith("error:")
 
+    def test_ddset_shift_above_one_exits_two(self):
+        r = run("mem", "ddset", "1/2", "--I", "1/2", "--d", "3/2")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: shift d must lie in (0,1]\n"
+
 
 class TestThresholdSets:
     def test_lct0_with_integer_value_cap(self):
@@ -120,6 +127,13 @@ class TestFileCommands:
         f.write_text("dim 3\ndivisors 3\nstratum 1,2 1\n")
         r = run("dualcx", str(f), "--max-convention")
         assert r.stdout == "reg 0, coreg 2\nlargest-simplex dimension 1\n"
+
+    def test_dualcx_repeated_stratum_exits_two(self, tmp_path):
+        f = tmp_path / "strat.txt"
+        f.write_text("dim 3\ndivisors 3\nstratum 1,2 1\nstratum 1,2 2\n")
+        r = run("dualcx", str(f))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: line 4: stratum 1,2 is listed twice\n"
 
     def test_toric_lct_with_oracle(self, tmp_path):
         f = tmp_path / "cone.txt"
@@ -184,3 +198,20 @@ class TestRobustness:
             assert r.returncode == 0
             outs.add(r.stdout)
         assert len(outs) == 1
+
+
+def test_traced_layers_resolve():
+    """Every layer that `bench/run.py --trace 1` wraps, named in
+    `bench/tracing.LAYERS` as `module.attr` or `module.Class.method`, is
+    still defined under that name where the tracer looks it up."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name in tracing.LAYERS:
+        module, _, attr = name.partition(".")
+        owner = importlib.import_module(f"coregcalc.{module}")
+        *classes, last = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        assert last in vars(owner), name

@@ -132,3 +132,18 @@ stratum 1,2,3 1
     def test_bad_line_reported_with_number(self):
         with pytest.raises(DomainError, match="line 3"):
             parse_stratification("dim 3\ndivisors 2\nwhat is this\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim 3\ndivisors 2\nstratum 1,2 1\nstratum 2,1 0\n", "line 4: stratum 2,1 is listed twice"),
+            ("dim 3\ndivisors 2\ndim 2\n", "line 3: repeated `dim` header"),
+            ("divisors 2\ndim 3\ndivisors 3\n", "line 3: repeated `divisors` header"),
+            ("dim 3\ndivisors 2\n\nstratum 1,1,2 1\n", "line 4: repeated divisor index in stratum 1,1,2"),
+            ("dim 3\ndivisors 2\nstratum 1,1 1\n", "line 3: repeated divisor index in stratum 1,1"),
+        ],
+    )
+    def test_ambiguous_input_rejected_with_line_number(self, text, message):
+        with pytest.raises(DomainError) as exc:
+            parse_stratification(text)
+        assert str(exc.value) == message

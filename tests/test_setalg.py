@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from coregcalc.setalg import (
     plus_closure,
     plus_closure_exact,
     pos_combinations,
+    sums,
 )
 
 
@@ -79,6 +81,38 @@ class TestMemPlusClosure:
             mem_plus_closure(F(5, 3), cs("1/2"))
         with pytest.raises(DomainError):
             mem_plus_closure(F(-1, 2), cs("1/2"))
+
+
+def sums_reference(gens, cap, max_terms):
+    """0 and the n-term sums <= cap for n = 1, 2, ... up to max_terms, or,
+    without a limit, until no n-term sum is <= cap (then no longer one is)."""
+    pos = sorted({g for g in gens if g > 0})
+    out = {F(0)}
+    n = 0
+    while max_terms is None or n < max_terms:
+        n += 1
+        new = {sum(c) for c in combinations_with_replacement(pos, n) if sum(c) <= cap}
+        if not new:
+            break
+        out |= new
+    return out
+
+
+class TestSums:
+    @given(
+        st.lists(st.fractions(min_value=0, max_value=3, max_denominator=6), max_size=4),
+        st.fractions(min_value=0, max_value=2, max_denominator=6),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_combinations_reference(self, gens, cap, max_terms):
+        assert sums(gens, cap, max_terms) == sums_reference(gens, cap, max_terms)
+
+    def test_examples(self):
+        assert sums([F(0), F(3)], F(2)) == {F(0)}  # gens zero or above the cap
+        assert sums([F(1, 2)], F(2), 0) == {F(0)}
+        assert sums([F(1, 2), F(1, 3)], F(1), 2) == {F(0), F(1, 3), F(1, 2), F(2, 3), F(5, 6), F(1)}
+        assert sums(cs("1/4"), F(1)) == {F(k, 4) for k in range(5)}
 
 
 class TestPosCombinations:
@@ -175,6 +209,17 @@ class TestDDSet:
         # same domain (0,1] as mem_d_d_set and check_dd_monotone
         with pytest.raises(DomainError):
             d_d_set(cs("1/2"), d, EnumBounds(4, 3))
+
+    @pytest.mark.parametrize("d", [F(0), F(-1, 2), F(3, 2)])
+    def test_every_shift_check_refuses_the_same_shifts(self, d):
+        calls = [
+            lambda: d_d_set(cs("1/2"), d, EnumBounds(4, 3)),
+            lambda: mem_d_d_set(F(1, 2), cs("1/2"), d),
+            lambda: check_dd_monotone(cs("1/2"), d, EnumBounds(4, 3)),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match=r"^shift d must lie in \(0,1\]$"):
+                call()
 
     @given(small_sets, st.fractions(min_value=F(1, 4), max_value=1, max_denominator=4), small_rationals)
     @settings(max_examples=40, deadline=None)

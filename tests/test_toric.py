@@ -81,6 +81,13 @@ class TestThreshold:
         with pytest.raises(DomainError):
             pair([(1, 0), (0, 1)], [0, 0], [-1, 1])
 
+    def test_integer_coefficients_give_an_exact_threshold(self):
+        tp = ToricPair(SimplicialCone(((1, 0), (0, 1))), (0, 0), (2, 4))
+        assert tp.b == (F(0), F(0)) and all(type(x) is F for x in tp.b + tp.c)
+        value = toric_lct(tp)
+        assert value == F(1, 4) and type(value) is F
+        assert toric_lct_oracle(tp, 3) == value
+
     def test_scaling_gamma_scales_threshold_inversely(self):
         base = pair([(1, 1), (1, -1)], [F(1, 3), F(1, 2)], [1, 2])
         scaled = pair([(1, 1), (1, -1)], [F(1, 3), F(1, 2)], [3, 6])
