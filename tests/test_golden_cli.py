@@ -60,6 +60,11 @@ CASES = [
     ("accum-c0", ["accum", "--I", "1/2", "--J", "1", "--c", "0"], None),
     ("accum-c1", ["accum", "--I", "1", "--J", "1", "--c", "1", "--bounds", "terms=4,index=4"], None),
     ("accum-c1-tail", ["accum", "--I", "1/3,1/2", "--J", "1/2", "--c", "1", "--bounds", "terms=5,index=2"], None),
+    ("p1-oracle-deg2-index6", ["p1-oracle", "--I", "1/4,1/6", "--J", "1", "--degree", "2", "--bounds", "terms=3,index=6", "--witness"], None),
+    ("p1-oracle-no-cap-deg2", ["p1-oracle", "--I", "1/3", "--J", "1/2", "--degree", "2", "--bounds", "terms=3,index=4", "--no-cap-unit", "--witness"], None),
+    ("lct1-terms5-index4", ["lct1", "--I", "1/2", "--J", "1,1/2", "--bounds", "terms=5,index=4", "--witness"], None),
+    ("acc-above-c1-third", ["acc-above", "--I", "1/2", "--J", "1,1/2", "--c", "1", "--t", "1/3", "--witness"], None),
+    ("accum-c1-index5", ["accum", "--I", "1/3,1/2", "--J", "1/2,1", "--c", "1", "--bounds", "terms=5,index=5"], None),
     ("dualcx", ["dualcx", FILE], STRAT),
     ("dualcx-max", ["dualcx", FILE, "--max-convention"], STRAT),
     ("dualcx-malformed", ["dualcx", FILE], "dim 3\ndivisors 2\nstratum 1\n"),
