@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from operator import itemgetter
 from typing import Optional, Union
 
 from .rationals import format_rational
@@ -124,6 +125,27 @@ class TSingularityWitness:
 Witness = Union[Coreg0Witness, Coreg1Witness, OracleWitness, TSingularityWitness]
 
 
+def _least_per_value(pairs) -> list:
+    """(value, item) pairs sorted by value, one per value: the item whose
+    string is least, the first one on ties.
+
+    This is what a stable sort on (value, str(item)) followed by keeping the
+    first item of each value gives, but in one dict pass that hashes each
+    value once and formats items only for values met more than once.
+    """
+    best: dict = {}
+    for v, x in pairs:
+        slot = best.setdefault(v, [x, None])
+        if slot[0] is x:
+            continue
+        if slot[1] is None:
+            slot[1] = str(slot[0])
+        key = str(x)
+        if key < slot[1]:
+            slot[:] = x, key
+    return sorted(((v, slot[0]) for v, slot in best.items()), key=itemgetter(0))
+
+
 @dataclass(frozen=True)
 class LctValue:
     value: Fraction
@@ -132,18 +154,14 @@ class LctValue:
 
 @dataclass(frozen=True)
 class LctSet:
-    """Sorted deduplicated threshold values; first witness (in canonical
-    order) is kept per value."""
+    """Sorted deduplicated threshold values; per value the witness whose
+    string is least is kept."""
 
     values: tuple[LctValue, ...]
 
     @classmethod
     def collect(cls, items) -> "LctSet":
-        by_value: dict[Fraction, Witness] = {}
-        for v, w in sorted(items, key=lambda vw: (vw[0], str(vw[1]))):
-            if v not in by_value:
-                by_value[v] = w
-        return cls(tuple(LctValue(v, by_value[v]) for v in sorted(by_value)))
+        return cls(tuple(LctValue(v, w) for v, w in _least_per_value(items)))
 
     def raw(self) -> tuple[Fraction, ...]:
         return tuple(lv.value for lv in self.values)
@@ -304,6 +322,17 @@ def _triple_values(tr: PlatonicTriple, iplus, jplus, jcap: Fraction, tail: Optio
     return ivals, jvals
 
 
+def _lct1_triple(tr: PlatonicTriple, iplus: CoeffSet, jplus: CoeffSet, b: EnumBounds,
+                 extra_terms: bool) -> list:
+    """The (value, witness) pairs (qr+pr+pq-pqr-i)/j >= 0 of one triple, with
+    i and j built from the bounded closures iplus and jplus."""
+    tail = max(b.max_terms - 3, 0) if extra_terms else 0
+    # the largest j-value, since the elements of J+ are at most 1: it never binds
+    jcap = Fraction(tr.q * tr.r + tr.p * tr.r + tr.p * tr.q + tr.p * tr.q * tr.r * tail)
+    ivals, jvals = _triple_values(tr, iplus, jplus, jcap, tail)
+    return _thresholds(tr.base, ivals, jvals, partial(Coreg1Witness, tr.p, tr.q, tr.r))
+
+
 def lct1_weighted(
     tr: PlatonicTriple,
     I: CoeffSet,
@@ -318,26 +347,21 @@ def lct1_weighted(
     which is what realizes the torus-symmetry family values; without it
     only the three displayed slots are used.
     """
-    tail = max(b.max_terms - 3, 0) if extra_terms else 0
-    # the largest j-value, since the elements of J+ are at most 1: it never binds
-    jcap = Fraction(tr.q * tr.r + tr.p * tr.r + tr.p * tr.q + tr.p * tr.q * tr.r * tail)
-    ivals, jvals = _triple_values(tr, plus_closure(I, b), plus_closure(J, b), jcap, tail)
-    if not jvals:
+    jplus = plus_closure(J, b)
+    if jplus.min_positive is None:
         raise DomainError("no positive j-combination exists")
-    out = _thresholds(tr.base, ivals, jvals, partial(Coreg1Witness, tr.p, tr.q, tr.r))
+    out = _lct1_triple(tr, plus_closure(I, b), jplus, b, extra_terms)
     return LctSet.collect(_denominator_filter(out, b))
 
 
 def lct1_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds, extra_terms: bool = True) -> LctSet:
-    """Union of the weighted sets over all triples up to b.max_index."""
+    """Union of the weighted sets over all triples up to b.max_index; I+ and
+    J+ are built once for all triples."""
+    iplus, jplus = plus_closure(I, b), plus_closure(J, b)
     out = []
     for tr in platonic_triples(b.max_index):
-        try:
-            part = lct1_weighted(tr, I, J, b, extra_terms=extra_terms)
-        except DomainError:
-            continue
-        out.extend((lv.value, lv.witness) for lv in part)
-    return LctSet.collect(out)
+        out += _lct1_triple(tr, iplus, jplus, b, extra_terms)
+    return LctSet.collect(_denominator_filter(out, b))
 
 
 @dataclass(frozen=True)
@@ -403,52 +427,50 @@ def p1_oracle(
         raise DomainError("degree target must be 1 or 2")
     iplus = plus_closure(I, b)
     jplus = plus_closure(J, b)
-    # term options (N, i, j); (1, 0, 0) contributes nothing and is dropped
+    # One common denominator D makes every constant (n-1+i)/n, every slope
+    # j/n and every i and j an integer: their denominators divide n*den(x).
+    D = lcm(*(n * x.denominator for n in range(1, b.max_index + 1) for x in (*iplus, *jplus)))
+    # term options (D*const, D*slope, N, i, j, D*i, D*j), sorted by constant;
+    # (1, 0, 0) contributes nothing and is dropped
     options = []
     for n in range(1, b.max_index + 1):
         for i in iplus:
             for j in jplus:
                 if n == 1 and i == 0 and j == 0:
                     continue
-                const = (n - 1 + i) / Fraction(n)
-                slope = j / Fraction(n)
-                options.append((const, slope, n, i, j))
+                iD, jD = i.numerator * (D // i.denominator), j.numerator * (D // j.denominator)
+                options.append((((n - 1) * D + iD) // n, jD // n, n, i, j, iD, jD))
     options.sort()
-    target = Fraction(degree_target)
+    target = degree_target * D
     results = []
+    terms: list[tuple] = []
 
-    def emit(terms):
-        csum = sum(c for c, *_ in terms)
-        ssum = sum(s for _, s, *_ in terms)
-        if ssum == 0:
+    def emit(csum: int, ssum: int):
+        # t = (target - csum)/ssum and d_k = i_k + t*j_k, decided in integers
+        tnum = target - csum
+        if ssum == 0 or tnum < 0:
             return
-        t = (target - csum) / ssum
-        if t < 0:
-            return
-        ds = [i + t * j for _, _, _, i, j in terms]
-        if all(d == 0 for d in ds):
-            return
-        if cap_unit and any(d > 1 for d in ds):
-            return
-        N = tuple(n for _, _, n, _, _ in terms)
-        iparts = tuple(i for _, _, _, i, _ in terms)
-        jparts = tuple(j for _, _, _, _, j in terms)
-        results.append((t, OracleWitness(degree_target, N, iparts, jparts)))
+        if tnum == 0 and all(o[5] == 0 for o in terms):
+            return  # every d_k = i_k is zero
+        if cap_unit and any(o[5] * ssum + tnum * o[6] > D * ssum for o in terms):
+            return  # some d_k > 1
+        _, _, N, iparts, jparts, _, _ = zip(*terms)
+        results.append((Fraction(tnum, ssum), OracleWitness(degree_target, N, iparts, jparts)))
 
-    def dfs(start: int, terms: list, csum: Fraction):
+    def dfs(start: int, csum: int, ssum: int):
         if terms:
-            emit(terms)
+            emit(csum, ssum)
         if len(terms) == b.max_terms:
             return
-        for idx in range(start, len(options)):
-            c = options[idx][0]
-            if csum + c > target:
+        for k in range(start, len(options)):
+            o = options[k]
+            if csum + o[0] > target:
                 break  # options are sorted by constant contribution
-            terms.append(options[idx])
-            dfs(idx, terms, csum + c)
+            terms.append(o)
+            dfs(k, csum + o[0], ssum + o[1])
             terms.pop()
 
-    dfs(0, [], ZERO)
+    dfs(0, 0, 0)
     return LctSet.collect(_denominator_filter(results, b))
 
 
@@ -530,15 +552,12 @@ def accumulation_candidates(
     closure = set(plus_closure_exact(I))
     if closure - (set(I.elements) | {ZERO}):
         violations.append("I is not closed under sums (I != I+)")
-    candidates: list[AccumulationCandidate] = []
     if J.min_positive is None:
         return [], violations
     if c == 0:
-        candidates.append(AccumulationCandidate(ZERO, "(1-i)/j, j -> infinity"))
+        pairs = [(ZERO, "(1-i)/j, j -> infinity")]
     elif c == 1:
-        candidates.append(
-            AccumulationCandidate(ZERO, "fixed (p,q,r), j-combination -> infinity")
-        )
+        pairs = [(ZERO, "fixed (p,q,r), j-combination -> infinity")]
         iplus = plus_closure(I, b)
         jplus = plus_closure(J, b)
         tail = max(b.max_terms - 3, 0)
@@ -547,34 +566,25 @@ def accumulation_candidates(
         shapes = [(2, 2)] + [(1, q0) for q0 in range(1, b.max_index + 1)]
         for p, q in shapes:
             # r -> infinity: numerator slope (p+q-pq) - (q*i1 + p*i2 + pq*ei),
-            # denominator slope q*j1 + p*j2 + pq*ej; the limit is their ratio
-            for i1 in iplus:
-                for i2 in iplus:
-                    for ei in iextras:
-                        a_num = Fraction(p + q - p * q) - (q * i1 + p * i2 + p * q * ei)
-                        if a_num < 0:
-                            continue
-                        for j1 in jplus:
-                            for j2 in jplus:
-                                for ej in jextras:
-                                    a_den = q * j1 + p * j2 + p * q * ej
-                                    if a_den <= 0:
-                                        continue
-                                    candidates.append(
-                                        AccumulationCandidate(
-                                            a_num / a_den,
-                                            f"({p},{q},r), r -> infinity, "
-                                            f"i-slope={format_rational(q * i1 + p * i2 + p * q * ei)}, "
-                                            f"j-slope={format_rational(a_den)}",
-                                        )
-                                    )
+            # denominator slope q*j1 + p*j2 + pq*ej; the limit is their ratio,
+            # so only the distinct slopes matter
+            top = p + q - p * q
+            islopes = {q * i1 + p * i2 + p * q * e for i1 in iplus for i2 in iplus for e in iextras}
+            jslopes = {q * j1 + p * j2 + p * q * e for j1 in jplus for j2 in jplus for e in jextras}
+            jslopes.discard(ZERO)
+            for islope in islopes:
+                if islope > top:
+                    continue
+                a_num = top - islope
+                for jslope in jslopes:
+                    pairs.append((
+                        a_num / jslope,
+                        f"({p},{q},r), r -> infinity, i-slope={format_rational(islope)}, "
+                        f"j-slope={format_rational(jslope)}",
+                    ))
     else:
         raise DomainError("coregularity must be 0 or 1")
-    by_value: dict[Fraction, AccumulationCandidate] = {}
-    for cand in sorted(candidates, key=lambda x: (x.value, x.family)):
-        if cand.value not in by_value:
-            by_value[cand.value] = cand
-    return [by_value[v] for v in sorted(by_value)], violations
+    return [AccumulationCandidate(v, family) for v, family in _least_per_value(pairs)], violations
 
 
 # ---------------------------------------------------------------------------

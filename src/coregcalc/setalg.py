@@ -262,18 +262,22 @@ def _check_shift(d: Fraction) -> None:
         raise DomainError("shift d must lie in (0,1]")
 
 
-def d_d_set(I: CoeffSet, d: Fraction, b: EnumBounds) -> CoeffSet:
-    """Bounded enumeration of D_d(I) = {(m-1+f+k*d)/m : m,k >= 1, f in I+}."""
-    _check_shift(d)
-    fs = plus_closure(I, b)
+def _shifted(fs: CoeffSet, d: Fraction, max_index: int) -> CoeffSet:
+    """{(m-1+f+k*d)/m <= 1 : m, k <= max_index, f in fs}."""
     out = set()
-    for m in range(1, b.max_index + 1):
-        for k in range(1, b.max_index + 1):
+    for m in range(1, max_index + 1):
+        for k in range(1, max_index + 1):
             for f in fs:
                 a = (m - 1 + f + k * d) / m
                 if a <= 1:
                     out.add(a)
     return CoeffSet.of(out)
+
+
+def d_d_set(I: CoeffSet, d: Fraction, b: EnumBounds) -> CoeffSet:
+    """Bounded enumeration of D_d(I) = {(m-1+f+k*d)/m : m,k >= 1, f in I+}."""
+    _check_shift(d)
+    return _shifted(plus_closure(I, b), d, b.max_index)
 
 
 def mem_d_d_set(a: Fraction, I: CoeffSet, d: Fraction) -> bool:
@@ -334,9 +338,11 @@ def check_dd_monotone(I: CoeffSet, d: Fraction, b: EnumBounds) -> tuple[bool, li
     """Check that d1 in D_d(I) implies D_{d1}(I) subseteq D_d(I), on the
     bounded enumeration of the left side with exact membership on the right."""
     _check_shift(d)
+    fs = plus_closure(I, b)
     bad = []
-    for d1 in d_d_set(I, d, b):
-        for a in d_d_set(I, d1, b):
+    for d1 in _shifted(fs, d, b.max_index):
+        # every d1 is positive and at most 1, so it is a valid shift
+        for a in _shifted(fs, d1, b.max_index):
             if not mem_d_d_set(a, I, d):
                 bad.append((d1, a))
     return (not bad, bad)
