@@ -65,6 +65,11 @@ CASES = [
     ("lct1-terms5-index4", ["lct1", "--I", "1/2", "--J", "1,1/2", "--bounds", "terms=5,index=4", "--witness"], None),
     ("acc-above-c1-third", ["acc-above", "--I", "1/2", "--J", "1,1/2", "--c", "1", "--t", "1/3", "--witness"], None),
     ("accum-c1-index5", ["accum", "--I", "1/3,1/2", "--J", "1/2,1", "--c", "1", "--bounds", "terms=5,index=5"], None),
+    ("mem-lct0-zero-false", ["mem", "lct0", "0", "--I", "2/5", "--J", "1"], None),
+    ("mem-lct1-zero-no-positive-j", ["mem", "lct1", "0", "--I", "1", "--J", "0"], None),
+    ("mem-lct0-j-above-one", ["mem", "lct0", "1/3", "--I", "1/2", "--J", "3/2,1/2"], None),
+    ("accum-c1-j-above-one", ["accum", "--I", "1/3", "--J", "3/2,1/2", "--c", "1", "--bounds", "terms=6,index=4"], None),
+    ("acc-above-c0-j-above-one", ["acc-above", "--I", "1/3", "--J", "3/2,1", "--c", "0", "--t", "1/4", "--witness"], None),
     ("dualcx", ["dualcx", FILE], STRAT),
     ("dualcx-max", ["dualcx", FILE, "--max-convention"], STRAT),
     ("dualcx-malformed", ["dualcx", FILE], "dim 3\ndivisors 2\nstratum 1\n"),

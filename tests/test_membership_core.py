@@ -13,11 +13,18 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coregcalc import cli
-from coregcalc.lctsets import Coreg1Witness, _weighted_values, mem_lct1, platonic_triples
+from coregcalc.lctsets import (
+    Coreg0Witness,
+    Coreg1Witness,
+    _weighted_values,
+    mem_lct0,
+    mem_lct1,
+    platonic_triples,
+)
 from coregcalc.setalg import (
     CoeffSet,
     DomainError,
@@ -83,6 +90,20 @@ def weighted_values_reference(tr, parts, extras, cap):
                     if w <= cap:
                         out.add(w)
     return out
+
+
+def mem_lct0_reference(t, I, J):
+    """The least j first: every positive combination j <= 1/t of J in
+    ascending order, with i = 1 - t*j decided by the knapsack; for t = 0
+    the test is 1 in I+, with the least element of J as the witness j."""
+    jmin = J.min_positive
+    if t == 0:
+        return (True, Coreg0Witness(F(1), jmin)) if knapsack_member(F(1), I) else (False, None)
+    for j in sorted(sums_up_to(J.positive(), 1 / t) - {0}):
+        i = 1 - t * j
+        if 0 <= i <= 1 and knapsack_member(i, I):
+            return True, Coreg0Witness(i, j)
+    return False, None
 
 
 def mem_lct1_reference(t, I, J, triple_bound):
@@ -279,6 +300,24 @@ class TestWeightedValues:
         )
 
 
+class TestMemLct0:
+    @given(
+        st.lists(rationals(0, F(3, 2), 7), max_size=3).map(CoeffSet.of),
+        st.lists(rationals(F(1, 4), 3, 4), min_size=1, max_size=2).map(CoeffSet.of),
+        rationals(0, 2, 8),
+    )
+    @example(CoeffSet.parse("1/2"), CoeffSet.parse("3/2,1/2"), F(0))
+    @example(CoeffSet.parse("2/5"), CoeffSet.parse("1"), F(0))
+    @example(CoeffSet.parse("1/2"), CoeffSet.parse("3/2,1/2"), F(1, 3))
+    @example(CoeffSet.parse("1/3"), CoeffSet.parse("3/2,1"), F(4, 15))
+    @settings(max_examples=200, deadline=None)
+    def test_verdict_and_witness_agree_with_reference(self, I, J, t):
+        ok, w = mem_lct0(t, I, J)
+        assert (ok, w) == mem_lct0_reference(t, I, J)
+        if ok:
+            assert w.value() == t
+
+
 class TestMemLct1:
     @given(
         st.lists(rationals(F(1, 6), F(3, 2), 6), min_size=1, max_size=2).map(CoeffSet.of),
@@ -286,6 +325,10 @@ class TestMemLct1:
         rationals(0, 2, 6),
         st.integers(1, 3),
     )
+    @example(CoeffSet.parse("1"), CoeffSet.parse("1/2"), F(0), 3)
+    @example(CoeffSet.parse("2/5"), CoeffSet.parse("1/2,2"), F(0), 3)
+    @example(CoeffSet.parse("1"), CoeffSet.parse("3/2"), F(0), 2)
+    @example(CoeffSet.parse("1/3"), CoeffSet.parse("3/2,1/3"), F(0), 3)
     @settings(max_examples=50, deadline=None)
     def test_verdict_and_witness_agree_with_reference(self, I, J, t, bound):
         res = mem_lct1(t, I, J, bound)
