@@ -16,6 +16,9 @@ from . import dualcx, lctsets, setalg, toric
 from .rationals import format_rational, parse_rational
 from .setalg import CoeffSet, DomainError, EnumBounds
 
+# The command line's default term bound; the library's EnumBounds has 4.
+DEFAULT_TERMS = 12
+
 
 def _parse_set(text):
     if text is None:
@@ -23,8 +26,8 @@ def _parse_set(text):
     return CoeffSet.parse(text)
 
 
-def _parse_bounds(text, default_terms=12):
-    terms, index, value, denom = default_terms, 6, None, None
+def _parse_bounds(text):
+    terms, index, value, denom = DEFAULT_TERMS, 6, None, None
     if text:
         for item in text.split(","):
             key, _, raw = item.partition("=")
@@ -71,8 +74,8 @@ def _add_set_args(p, need_j=False):
         "--bounds",
         metavar="KEY=V,...",
         help="enumeration bounds: terms=T,index=M,value=V,denom=D; the command "
-        "line defaults to terms=12,index=6 (the library's EnumBounds defaults "
-        "to terms=4)",
+        f"line defaults to terms={DEFAULT_TERMS},index=6 (the library's EnumBounds "
+        "defaults to terms=4)",
     )
 
 

@@ -97,10 +97,6 @@ class DualComplex:
             if not any(s.support < other for other in supports)
         ]
 
-    def is_equidimensional(self) -> bool:
-        dims = {s.dim for s in self.maximal()}
-        return len(dims) <= 1
-
 
 def build_dual_complex(sb: StratifiedBoundary) -> DualComplex:
     """One simplex of dimension |S|-1 per irreducible component of each
@@ -140,7 +136,8 @@ def parse_stratification(text: str) -> StratifiedBoundary:
     `stratum <comma-separated indices> <count>` lines (1-based indices;
     singletons may be omitted).  Each header and each stratum appears at
     most once, and no index repeats within a stratum: the answer must not
-    depend on which of two conflicting lines is read last."""
+    depend on which of two conflicting lines is read last.  No header value
+    is negative."""
     headers: dict[str, int] = {}
     strata: dict[frozenset, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,6 +149,8 @@ def parse_stratification(text: str) -> StratifiedBoundary:
             if parts[0] in headers:
                 raise DomainError(f"line {lineno}: repeated `{parts[0]}` header")
             headers[parts[0]] = int(parts[1])
+            if headers[parts[0]] < 0:
+                raise DomainError(f"line {lineno}: negative `{parts[0]}` value {parts[1]}")
         elif parts[0] == "stratum" and len(parts) == 3:
             indices = [int(x) - 1 for x in parts[1].split(",")]
             idx = frozenset(indices)

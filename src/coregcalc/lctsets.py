@@ -1,17 +1,22 @@
 """Threshold sets of coregularity zero and one.
 
-Coregularity zero has the closed form
+Both sets are unions of threshold families.  A family (base, ivals, jvals,
+witness) stands for the values (base - i)/j >= 0 over i in ivals and
+positive j in jvals, each with the provenance witness(i, j).  Coregularity
+zero is the single family
 
     LCT0(I,J) = { (1-i)/j >= 0 : i in I+ n [0,1], j a positive combination of J }.
 
-Coregularity one is the union, over triples (p,q,r) of positive integers with
-1/p + 1/q + 1/r > 1, of the weighted sets
+Coregularity one has one family per triple (p,q,r) of positive integers with
+1/p + 1/q + 1/r > 1, with base qr+pr+pq-pqr:
 
     { (qr+pr+pq-pqr - i)/j : i, j weighted combinations qr*x1+pr*x2+pq*x3 (+ pqr-tail) }.
 
-Both are cross-checked against an independent oracle that brute-forces the
-degree equation sum_k (N_k-1+d_k)/N_k = 1 (resp. 2) on the projective line
-with d_k = i_k + t*j_k and solves for t.  Every value carries a provenance
+One collector lists the values of any families, and one scan finds the
+witness of a given t with the least j.  Both sets are cross-checked against
+an independent oracle that brute-forces the degree equation
+sum_k (N_k-1+d_k)/N_k = 1 (resp. 2) on the projective line with
+d_k = i_k + t*j_k and solves for t.  Every value carries a provenance
 witness from which the defining formula can be replayed exactly.
 """
 
@@ -174,57 +179,83 @@ class LctSet:
 
 
 # ---------------------------------------------------------------------------
-# coregularity zero
+# threshold families and coregularity zero
 
 
-def _denominator_filter(items, b: EnumBounds):
-    if b.max_denominator is None:
+def _denominator_filter(items, b: Optional[EnumBounds]):
+    if b is None or b.max_denominator is None:
         return items
     return [(v, w) for v, w in items if v.denominator <= b.max_denominator]
 
 
-def _thresholds(base: Fraction, ivals, jvals, witness, floor: Optional[Fraction] = None) -> list:
-    """(v, witness(i, j)) for each v = (base - i)/j >= 0, over i in ivals and
-    positive j in jvals, keeping only v >= floor when a floor is given."""
+def _thresholds(families, floor: Optional[Fraction] = None) -> list:
+    """(v, witness(i, j)) for each v = (base - i)/j >= 0 of the families
+    (base, ivals, jvals, witness), over i in ivals and positive j in jvals,
+    keeping only v >= floor when a floor is given."""
     out = []
-    for i in ivals:
-        num = base - i
-        if num < 0:
-            continue
-        for j in jvals:
-            v = num / j
-            if floor is None or v >= floor:
-                out.append((v, witness(i, j)))
+    for base, ivals, jvals, witness in families:
+        for i in ivals:
+            num = base - i
+            if num < 0:
+                continue
+            for j in jvals:
+                v = num / j
+                if floor is None or v >= floor:
+                    out.append((v, witness(i, j)))
     return out
+
+
+def _collect(families, b: Optional[EnumBounds] = None, floor: Optional[Fraction] = None) -> LctSet:
+    """The thresholds of the families that are at least floor (when given)
+    and pass b's denominator filter (when b is given), one witness per value."""
+    return LctSet.collect(_denominator_filter(_thresholds(families, floor), b))
+
+
+def _first_witness(t: Fraction, families) -> Optional[Witness]:
+    """The witness of t = (base - i)/j in the first family that has one,
+    with the least j: each j in ascending order gives i = base - t*j, which
+    is one lookup in ivals.  So jvals must list every j up to base/t, or at
+    t = 0 the least j, and ivals only needs `in`."""
+    for base, ivals, jvals, witness in families:
+        for j in sorted(jvals):
+            i = base - t * j
+            if i >= 0 and i in ivals:
+                return witness(i, j)
+    return None
+
+
+@dataclass(frozen=True)
+class _PlusLookup:
+    """I+ as the i-values of a family: `i in` it is one Apéry lookup, and it
+    is never enumerated (for I = {2/999983, 3/7} it is huge)."""
+
+    I: CoeffSet
+
+    def __contains__(self, i: Fraction) -> bool:
+        return mem_plus_closure(i, self.I)
 
 
 def lct0_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds) -> LctSet:
     """Bounded enumeration of {(1-i)/j >= 0}; i runs over the bounded I+,
     j over positive combinations of J up to b.max_value."""
-    out = _thresholds(ONE, plus_closure(I, b), pos_combinations(J, b), Coreg0Witness)
-    return LctSet.collect(_denominator_filter(out, b))
+    return _collect([(ONE, plus_closure(I, b), pos_combinations(J, b), Coreg0Witness)], b)
 
 
 def mem_lct0(t: Fraction, I: CoeffSet, J: CoeffSet) -> tuple[bool, Optional[Coreg0Witness]]:
     """Exact membership in the full coregularity-zero set.
 
-    For t > 0 every representation has j = (1-i)/t <= 1/t, so the
-    finitely many combinations j <= 1/t are scanned exactly.  For t = 0 the
-    test is 1 in I+.
+    Every representation has i = 1 - t*j <= 1, and for t > 0 also
+    j = (1-i)/t <= 1/t, so the finitely many combinations j <= 1/t are
+    scanned exactly.  For t = 0 the least j, the least element of J, is the
+    witness when 1 is in I+.
     """
     if t < 0:
         raise DomainError("thresholds are nonnegative")
     if J.min_positive is None:
         raise DomainError("J needs a positive element")
-    if t == 0:
-        if mem_plus_closure(ONE, I):
-            return True, Coreg0Witness(ONE, J.min_positive)
-        return False, None
-    for j in pos_combinations_exact(J, 1 / t):
-        i = 1 - t * j
-        if 0 <= i <= 1 and mem_plus_closure(i, I):
-            return True, Coreg0Witness(i, j)
-    return False, None
+    js = pos_combinations_exact(J, 1 / t if t else J.min_positive)
+    w = _first_witness(t, [(ONE, _PlusLookup(I), js, Coreg0Witness)])
+    return w is not None, w
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +279,6 @@ class PlatonicTriple:
         p, q, r = self.p, self.q, self.r
         return Fraction(q * r + p * r + p * q - p * q * r)
 
-    @property
-    def tag(self) -> str:
-        if self.p == 1:
-            return "contains-one"
-        if (self.p, self.q) == (2, 2):
-            return "dihedral"
-        return "exceptional"
-
 
 def platonic_triples(bound: int) -> list[PlatonicTriple]:
     """All p <= q <= r <= bound with 1/p + 1/q + 1/r > 1 (exact check)."""
@@ -270,67 +293,60 @@ def platonic_triples(bound: int) -> list[PlatonicTriple]:
     return out
 
 
-def _weighted_values(tr: PlatonicTriple, parts, extras, cap: Fraction):
-    """{qr*x1 + pr*x2 + pq*x3 + pqr*e <= cap} over the given slot values.
+def _weighted_values(weights, parts, extras, cap: Fraction) -> set:
+    """{w1*x1 + ... + wk*xk + we*e <= cap} for weights (w1, ..., wk, we),
+    over slot values x in parts and e in extras.
 
     Works on integers: the slot values, the extras and the cap are scaled to
-    one common denominator and sorted, so each loop stops at the cap, and
+    one common denominator and sorted.  The sums are built one slot at a
+    time, each slot stops at the cap, the partial sums are deduplicated, and
     only the distinct sums become Fractions again.
     """
-    p, q, r = tr.p, tr.q, tr.r
-    w1, w2, w3, we = q * r, p * r, p * q, p * q * r
     parts, extras = tuple(parts), tuple(extras)
     D = lcm(cap.denominator, *(x.denominator for x in parts + extras))
     xs = sorted(x.numerator * (D // x.denominator) for x in parts)
     es = sorted(e.numerator * (D // e.denominator) for e in extras)
     top = cap.numerator * (D // cap.denominator)
-    out = set()
-    for x1 in xs:
-        s1 = w1 * x1
-        if s1 > top:
-            break
-        for x2 in xs:
-            s2 = s1 + w2 * x2
-            if s2 > top:
-                break
-            for x3 in xs:
-                s3 = s2 + w3 * x3
-                if s3 > top:
+    level = {0}
+    for w, vals in zip(weights, [xs] * (len(weights) - 1) + [es]):
+        nxt = set()
+        for s in level:
+            for x in vals:
+                v = s + w * x
+                if v > top:
                     break
-                for e in es:
-                    s = s3 + we * e
-                    if s > top:
-                        break
-                    out.add(s)
-    return {Fraction(s, D) for s in out}
+                nxt.add(v)
+        level = nxt
+    return {Fraction(s, D) for s in level}
 
 
 def _triple_values(tr: PlatonicTriple, iplus, jplus, jcap: Fraction, tail: Optional[int]):
-    """The i-values and the positive j-values of one triple.
+    """The family (base, ivals, jvals, witness) of one triple.
 
-    Both are qr*x1 + pr*x2 + pq*x3 + pqr*e with the x in I+ (resp. J+) and
-    e a sum of at most `tail` elements of I+ (resp. J+), no limit when None.
-    The tails are generated by I+ and J+, not I and J, which differ when an
-    element exceeds 1.  i-values are capped at the base qr+pr+pq-pqr,
-    j-values at jcap.
+    Its i-values and positive j-values are qr*x1 + pr*x2 + pq*x3 + pqr*e
+    with the x in I+ (resp. J+) and e a sum of at most `tail` elements of I+
+    (resp. J+), no limit when None.  The tails are generated by I+ and J+,
+    not I and J, which differ when an element exceeds 1.  i-values are
+    capped at the base qr+pr+pq-pqr, j-values at jcap.
     """
-    base = tr.base
-    pqr = tr.p * tr.q * tr.r
-    ivals = _weighted_values(tr, iplus, sums(iplus, base / pqr, tail), base)
-    jvals = _weighted_values(tr, jplus, sums(jplus, jcap / pqr, tail), jcap)
+    p, q, r = tr.p, tr.q, tr.r
+    base, weights = tr.base, (q * r, p * r, p * q, p * q * r)
+    ivals = _weighted_values(weights, iplus, sums(iplus, base / (p * q * r), tail), base)
+    jvals = _weighted_values(weights, jplus, sums(jplus, jcap / (p * q * r), tail), jcap)
     jvals.discard(ZERO)
-    return ivals, jvals
+    return base, ivals, jvals, partial(Coreg1Witness, p, q, r)
 
 
-def _lct1_triple(tr: PlatonicTriple, iplus: CoeffSet, jplus: CoeffSet, b: EnumBounds,
-                 extra_terms: bool) -> list:
-    """The (value, witness) pairs (qr+pr+pq-pqr-i)/j >= 0 of one triple, with
-    i and j built from the bounded closures iplus and jplus."""
+def _bounded_families(triples, I: CoeffSet, J: CoeffSet, b: EnumBounds, extra_terms: bool):
+    """The families of the triples, with i and j built from the bounded
+    closures of I and J, which are built once for all triples, and a tail of
+    up to b.max_terms - 3 summands (none without extra_terms)."""
+    iplus, jplus = plus_closure(I, b), plus_closure(J, b)
     tail = max(b.max_terms - 3, 0) if extra_terms else 0
-    # the largest j-value, since the elements of J+ are at most 1: it never binds
-    jcap = Fraction(tr.q * tr.r + tr.p * tr.r + tr.p * tr.q + tr.p * tr.q * tr.r * tail)
-    ivals, jvals = _triple_values(tr, iplus, jplus, jcap, tail)
-    return _thresholds(tr.base, ivals, jvals, partial(Coreg1Witness, tr.p, tr.q, tr.r))
+    for tr in triples:
+        # the largest j-value, since the elements of J+ are at most 1: it never binds
+        jcap = Fraction(tr.q * tr.r + tr.p * tr.r + tr.p * tr.q + tr.p * tr.q * tr.r * tail)
+        yield _triple_values(tr, iplus, jplus, jcap, tail)
 
 
 def lct1_weighted(
@@ -347,21 +363,16 @@ def lct1_weighted(
     which is what realizes the torus-symmetry family values; without it
     only the three displayed slots are used.
     """
-    jplus = plus_closure(J, b)
-    if jplus.min_positive is None:
+    base, ivals, jvals, witness = next(_bounded_families([tr], I, J, b, extra_terms))
+    if not jvals:
         raise DomainError("no positive j-combination exists")
-    out = _lct1_triple(tr, plus_closure(I, b), jplus, b, extra_terms)
-    return LctSet.collect(_denominator_filter(out, b))
+    return _collect([(base, ivals, jvals, witness)], b)
 
 
 def lct1_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds, extra_terms: bool = True) -> LctSet:
     """Union of the weighted sets over all triples up to b.max_index; I+ and
     J+ are built once for all triples."""
-    iplus, jplus = plus_closure(I, b), plus_closure(J, b)
-    out = []
-    for tr in platonic_triples(b.max_index):
-        out += _lct1_triple(tr, iplus, jplus, b, extra_terms)
-    return LctSet.collect(_denominator_filter(out, b))
+    return _collect(_bounded_families(platonic_triples(b.max_index), I, J, b, extra_terms), b)
 
 
 @dataclass(frozen=True)
@@ -382,26 +393,19 @@ class MemResult:
 def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> MemResult:
     """Per-triple exact search: for t > 0 the j-combination is bounded by
     base/t, and the i-combination by base; both are enumerated completely
-    (tail terms included, with no term-count truncation)."""
+    (tail terms included, with no term-count truncation).  For t = 0 the
+    least j-value pq*min(J+) is the only one needed."""
     if t < 0:
         raise DomainError("thresholds are nonnegative")
     iexact = plus_closure_exact(I)
     jexact = plus_closure_exact(J)
-    for tr in platonic_triples(triple_bound):
-        base = tr.base
-        ivals, jvals = _triple_values(tr, iexact, jexact, base / t if t else ZERO, None)
-        if t == 0:
-            if base in ivals:
-                jmin = jexact.min_positive
-                if jmin is not None:
-                    jw = min(w * jmin for w in (tr.q * tr.r, tr.p * tr.r, tr.p * tr.q))
-                    return MemResult(True, Coreg1Witness(tr.p, tr.q, tr.r, base, jw), triple_bound)
-            continue
-        for j in sorted(jvals):
-            i = base - t * j
-            if i >= 0 and i in ivals:
-                return MemResult(True, Coreg1Witness(tr.p, tr.q, tr.r, i, j), triple_bound)
-    return MemResult(False, None, triple_bound)
+    jmin = jexact.min_positive or ZERO
+    families = (
+        _triple_values(tr, iexact, jexact, tr.base / t if t else tr.p * tr.q * jmin, None)
+        for tr in platonic_triples(triple_bound)
+    )
+    w = _first_witness(t, families)
+    return MemResult(w is not None, w, triple_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -508,26 +512,18 @@ def verify_acc_above(
     if c == 0:
         if J.min_positive is None:
             raise DomainError("J needs a positive element")
-        js = pos_combinations_exact(J, 1 / t)
-        out = _thresholds(ONE, plus_closure_exact(I), js, Coreg0Witness, t)
-        return AccWitness(
-            LctSet.collect(out), t, True,
-            f"exact: j <= {format_rational(1 / t)}, full I+ enumerated",
-        )
-    if c == 1:
+        families = [(ONE, plus_closure_exact(I), pos_combinations_exact(J, 1 / t), Coreg0Witness)]
+        detail = f"exact: j <= {format_rational(1 / t)}, full I+ enumerated"
+    elif c == 1:
         cutoff = triple_cutoff if triple_cutoff is not None else max(5, int(2 / t) + 1)
         iexact = plus_closure_exact(I)
         jexact = plus_closure_exact(J)
-        out = []
-        for tr in platonic_triples(cutoff):
-            ivals, jvals = _triple_values(tr, iexact, jexact, tr.base / t, None)
-            witness = partial(Coreg1Witness, tr.p, tr.q, tr.r)
-            out += _thresholds(tr.base, ivals, jvals, witness, t)
-        return AccWitness(
-            LctSet.collect(out), t, False,
-            f"exact per triple; triple family cut off at max index {cutoff}",
-        )
-    raise DomainError("coregularity must be 0 or 1")
+        families = (_triple_values(tr, iexact, jexact, tr.base / t, None)
+                    for tr in platonic_triples(cutoff))
+        detail = f"exact per triple; triple family cut off at max index {cutoff}"
+    else:
+        raise DomainError("coregularity must be 0 or 1")
+    return AccWitness(_collect(families, floor=t), t, c == 0, detail)
 
 
 @dataclass(frozen=True)
@@ -563,25 +559,23 @@ def accumulation_candidates(
         tail = max(b.max_terms - 3, 0)
         iextras = sums(iplus, Fraction(2), tail)
         jextras = sums(jplus, Fraction(tail), tail)
+
+        def slope_family(p, q, islope, jslope):
+            return (f"({p},{q},r), r -> infinity, i-slope={format_rational(islope)}, "
+                    f"j-slope={format_rational(jslope)}")
+
         shapes = [(2, 2)] + [(1, q0) for q0 in range(1, b.max_index + 1)]
+        families = []
         for p, q in shapes:
             # r -> infinity: numerator slope (p+q-pq) - (q*i1 + p*i2 + pq*ei),
             # denominator slope q*j1 + p*j2 + pq*ej; the limit is their ratio,
-            # so only the distinct slopes matter
-            top = p + q - p * q
-            islopes = {q * i1 + p * i2 + p * q * e for i1 in iplus for i2 in iplus for e in iextras}
-            jslopes = {q * j1 + p * j2 + p * q * e for j1 in jplus for j2 in jplus for e in jextras}
+            # so only the distinct slopes matter (the j-slope cap never binds)
+            top = Fraction(p + q - p * q)
+            islopes = _weighted_values((q, p, p * q), iplus, iextras, top)
+            jslopes = _weighted_values((q, p, p * q), jplus, jextras, top + p * q * (tail + 1))
             jslopes.discard(ZERO)
-            for islope in islopes:
-                if islope > top:
-                    continue
-                a_num = top - islope
-                for jslope in jslopes:
-                    pairs.append((
-                        a_num / jslope,
-                        f"({p},{q},r), r -> infinity, i-slope={format_rational(islope)}, "
-                        f"j-slope={format_rational(jslope)}",
-                    ))
+            families.append((top, islopes, jslopes, partial(slope_family, p, q)))
+        pairs += _thresholds(families)
     else:
         raise DomainError("coregularity must be 0 or 1")
     return [AccumulationCandidate(v, family) for v, family in _least_per_value(pairs)], violations

@@ -226,14 +226,7 @@ def pos_combinations_exact(J: CoeffSet, max_value: Fraction) -> CoeffSet:
 
 def d_set(I: CoeffSet, b: EnumBounds) -> CoeffSet:
     """Bounded enumeration of D(I) = {(m-1+f)/m : f in I+}, m <= b.max_index."""
-    fs = plus_closure(I, b)
-    out = set()
-    for m in range(1, b.max_index + 1):
-        for f in fs:
-            a = (m - 1 + f) / m
-            if a <= 1:
-                out.add(a)
-    return CoeffSet.of(out)
+    return _shifted(plus_closure(I, b), ZERO, b.max_index)
 
 
 def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
@@ -263,12 +256,14 @@ def _check_shift(d: Fraction) -> None:
 
 
 def _shifted(fs: CoeffSet, d: Fraction, max_index: int) -> CoeffSet:
-    """{(m-1+f+k*d)/m <= 1 : m, k <= max_index, f in fs}."""
+    """{(m-1+f+k*d)/m <= 1 : m, k <= max_index, f in fs}; each distinct
+    shift k*d is used once, so d = 0 gives the single shift 0 and D(I)."""
+    shifts = {k * d for k in range(1, max_index + 1)}
     out = set()
     for m in range(1, max_index + 1):
-        for k in range(1, max_index + 1):
+        for s in shifts:
             for f in fs:
-                a = (m - 1 + f + k * d) / m
+                a = (m - 1 + f + s) / m
                 if a <= 1:
                     out.add(a)
     return CoeffSet.of(out)
@@ -346,39 +341,3 @@ def check_dd_monotone(I: CoeffSet, d: Fraction, b: EnumBounds) -> tuple[bool, li
             if not mem_d_d_set(a, I, d):
                 bad.append((d1, a))
     return (not bad, bad)
-
-
-@dataclass(frozen=True)
-class TraceWitness:
-    """One representation (m-1+k*i+f)/m = target for a traced generator i."""
-
-    i: Fraction
-    m: int
-    k: int
-    f: Fraction
-    target: Fraction
-
-
-def finite_trace(I: CoeffSet, Jfin: CoeffSet, b: EnumBounds) -> tuple[CoeffSet, list[TraceWitness]]:
-    """Generators i of I with (m-1+k*i+f)/m in Jfin n [0,1] for some
-    m, k <= b.max_index and f in I+; each hit carries its first witness."""
-    fs = plus_closure(I, b)
-    targets = {t for t in Jfin if t <= 1}
-    hits: dict[Fraction, TraceWitness] = {}
-    for i in I:
-        found = None
-        for m in range(1, b.max_index + 1):
-            for k in range(1, b.max_index + 1):
-                for f in fs:
-                    t = (m - 1 + k * i + f) / m
-                    if t in targets:
-                        found = TraceWitness(i, m, k, f, t)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            hits[i] = found
-    traced = CoeffSet.of(hits.keys())
-    return traced, [hits[i] for i in traced]

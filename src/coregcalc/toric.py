@@ -18,7 +18,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .dualcx import StratifiedBoundary
 from .rationals import parse_rational
 from .setalg import DomainError
 
@@ -162,23 +161,6 @@ def toric_lct_oracle(tp: ToricPair, box_radius: int) -> Optional[Fraction]:
         if best_num is None or num * best_denom < best_num * denom:
             best_num, best_denom = num, denom
     return INFINITY if best_num is None else Fraction(best_num, best_denom)
-
-
-def toric_stratification(cone: SimplicialCone, reduced: tuple[int, ...]) -> StratifiedBoundary:
-    """Torus-invariant stratification of the chosen reduced rays: every
-    nonempty subset spans a face of the simplicial cone, with one component
-    each.  The full ray set yields regularity n-1, coregularity 0."""
-    reduced = tuple(sorted(set(reduced)))
-    if not reduced:
-        raise DomainError("choose at least one ray")
-    if any(i < 0 or i >= cone.dim for i in reduced):
-        raise DomainError("ray index out of range")
-    strata = {}
-    for size in range(1, len(reduced) + 1):
-        for subset in itertools.combinations(range(len(reduced)), size):
-            strata[frozenset(subset)] = 1
-    names = [f"D{reduced[i] + 1}" for i in range(len(reduced))]
-    return StratifiedBoundary.build(cone.dim, names, strata)
 
 
 def parse_toric_pair(text: str) -> ToricPair:

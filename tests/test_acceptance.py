@@ -6,7 +6,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import coregcalc
 from coregcalc.dualcx import StratifiedBoundary, regularity_coregularity
 from coregcalc.lctsets import (
     accumulation_candidates,
@@ -194,11 +196,14 @@ def test_criterion_10_cli_determinism():
         ["p1-oracle", "--I", "1/2", "--J", "1", "--degree", "1",
          "--bounds", "terms=3,index=4", "--witness"],
     ]
+    # the child imports the package this process imported
+    src = str(Path(coregcalc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     ok = True
     for args in argsets:
         outs = set()
         for seed in ("0", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             r = subprocess.run(
                 [sys.executable, "-m", "coregcalc.cli"] + args,
                 capture_output=True, text=True, env=env,

@@ -6,11 +6,17 @@ from pathlib import Path
 
 import pytest
 
+import coregcalc
+
 CMD = [sys.executable, "-m", "coregcalc.cli"]
+# The child imports the package this process imported, also when pytest
+# found it through its `pythonpath` setting rather than through PYTHONPATH.
+PYTHONPATH = os.pathsep.join(filter(None, (str(Path(coregcalc.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH"))))
 
 
 def run(*args, env_extra=None, timeout=None):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=PYTHONPATH)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -134,6 +140,14 @@ class TestFileCommands:
         r = run("dualcx", str(f))
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr == "error: line 4: stratum 1,2 is listed twice\n"
+
+    def test_dualcx_negative_divisor_count_exits_two(self, tmp_path):
+        # read as no divisors at all, -2 would give `reg -1, coreg 3`
+        f = tmp_path / "strat.txt"
+        f.write_text("dim 3\ndivisors -2\n")
+        r = run("dualcx", str(f))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: line 2: negative `divisors` value -2\n"
 
     def test_toric_lct_with_oracle(self, tmp_path):
         f = tmp_path / "cone.txt"

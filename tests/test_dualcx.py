@@ -48,7 +48,6 @@ class TestDimension:
     def test_disjoint_divisors_are_points(self):
         dc = build_dual_complex(sb(3, 2, {}))
         assert complex_dimension(dc) == 0
-        assert dc.is_equidimensional()
 
     def test_two_meeting_divisors_give_an_edge(self):
         dc = build_dual_complex(sb(3, 2, {(0, 1): 1}))
@@ -59,7 +58,6 @@ class TestDimension:
         dc = build_dual_complex(sb(3, 3, {(0, 1): 1}))
         assert complex_dimension(dc, "min") == 0
         assert complex_dimension(dc, "max") == 1
-        assert not dc.is_equidimensional()
 
     def test_multiple_components_count_separately(self):
         # two divisors meeting along two irreducible curves: two edges
@@ -141,6 +139,7 @@ stratum 1,2,3 1
             ("divisors 2\ndim 3\ndivisors 3\n", "line 3: repeated `divisors` header"),
             ("dim 3\ndivisors 2\n\nstratum 1,1,2 1\n", "line 4: repeated divisor index in stratum 1,1,2"),
             ("dim 3\ndivisors 2\nstratum 1,1 1\n", "line 3: repeated divisor index in stratum 1,1"),
+            ("dim 3\n# none\ndivisors -2\n", "line 3: negative `divisors` value -2"),
         ],
     )
     def test_ambiguous_input_rejected_with_line_number(self, text, message):

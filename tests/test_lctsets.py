@@ -106,11 +106,6 @@ class TestPlatonicTriples:
         assert (2, 3, 5) in got
         assert (2, 3, 6) not in got  # 1/2+1/3+1/6 = 1 exactly
 
-    def test_tags(self):
-        assert PlatonicTriple(1, 2, 5).tag == "contains-one"
-        assert PlatonicTriple(2, 2, 7).tag == "dihedral"
-        assert PlatonicTriple(2, 3, 5).tag == "exceptional"
-
     def test_invalid_triple_rejected(self):
         with pytest.raises(DomainError):
             PlatonicTriple(2, 3, 6)

@@ -8,6 +8,7 @@ the per-triple kernel, and straight scans over every parameter.
 import contextlib
 import dataclasses
 import io
+import itertools
 import time
 from fractions import Fraction as F
 from math import lcm
@@ -79,17 +80,21 @@ def sums_up_to(gens, cap):
     return seen
 
 
-def weighted_values_reference(tr, parts, extras, cap):
-    p, q, r = tr.p, tr.q, tr.r
+def weighted_values_reference(weights, parts, extras, cap):
+    """Every w1*x1 + ... + wk*xk + we*e <= cap for weights (w1, ..., wk, we),
+    over every choice of slot values."""
+    *ws, we = weights
     out = set()
-    for x1 in parts:
-        for x2 in parts:
-            for x3 in parts:
-                for e in extras:
-                    w = q * r * x1 + p * r * x2 + p * q * x3 + p * q * r * e
-                    if w <= cap:
-                        out.add(w)
+    for xs in itertools.product(parts, repeat=len(ws)):
+        for e in extras:
+            w = sum(a * x for a, x in zip(ws, xs)) + we * e
+            if w <= cap:
+                out.add(w)
     return out
+
+
+def triple_weights(tr):
+    return (tr.q * tr.r, tr.p * tr.r, tr.p * tr.q, tr.p * tr.q * tr.r)
 
 
 def mem_lct0_reference(t, I, J):
@@ -114,16 +119,16 @@ def mem_lct1_reference(t, I, J, triple_bound):
     for tr in platonic_triples(triple_bound):
         base = tr.base
         pqr = tr.p * tr.q * tr.r
-        weights = (tr.q * tr.r, tr.p * tr.r, tr.p * tr.q)
-        ivals = weighted_values_reference(tr, iplus, sums_up_to(iplus, base / pqr), base)
+        weights = triple_weights(tr)
+        ivals = weighted_values_reference(weights, iplus, sums_up_to(iplus, base / pqr), base)
         if t == 0:
             jpos = [j for j in jplus if j > 0]
             if base in ivals and jpos:
-                jw = min(w * min(jpos) for w in weights)
+                jw = min(w * min(jpos) for w in weights[:3])
                 return True, Coreg1Witness(tr.p, tr.q, tr.r, base, jw)
             continue
         jcap = base / t
-        jvals = weighted_values_reference(tr, jplus, sums_up_to(jplus, jcap / pqr), jcap)
+        jvals = weighted_values_reference(weights, jplus, sums_up_to(jplus, jcap / pqr), jcap)
         for j in sorted(jvals - {0}):
             if base - t * j in ivals:
                 return True, Coreg1Witness(tr.p, tr.q, tr.r, base - t * j, j)
@@ -284,19 +289,26 @@ class TestDerivedSetMembers:
             assert mem_d_d_set(built_member(I, picks, m, k, d), I, d)
 
 
+# the slot weights of the per-triple values (qr, pr, pq, pqr) and of the
+# accumulation slopes (q, p, pq)
+SLOT_WEIGHTS = [triple_weights(tr) for tr in platonic_triples(5)] + [
+    (q, p, p * q) for p, q in [(2, 2)] + [(1, q) for q in range(1, 6)]
+]
+
+
 class TestWeightedValues:
     @given(
-        st.sampled_from(platonic_triples(5)),
+        st.sampled_from(SLOT_WEIGHTS),
         st.lists(rationals(0, 1, 6), max_size=4),
         st.lists(rationals(0, 1, 6), max_size=3),
         rationals(0, 12, 7),
     )
     @settings(max_examples=200, deadline=None)
-    def test_agrees_with_fraction_reference(self, tr, parts, extras, cap):
+    def test_agrees_with_fraction_reference(self, weights, parts, extras, cap):
         parts = {F(0), *parts}
         extras = {F(0), *extras}
-        assert _weighted_values(tr, parts, extras, cap) == weighted_values_reference(
-            tr, parts, extras, cap
+        assert _weighted_values(weights, parts, extras, cap) == weighted_values_reference(
+            weights, parts, extras, cap
         )
 
 

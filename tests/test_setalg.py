@@ -13,7 +13,6 @@ from coregcalc.setalg import (
     check_ddi_lemma,
     d_d_set,
     d_set,
-    finite_trace,
     mem_d_d_set,
     mem_d_set,
     mem_plus_closure,
@@ -241,24 +240,6 @@ class TestLemmaChecks:
     def test_shift_monotone(self, gens, d):
         ok, bad = check_dd_monotone(cs(gens), d, EnumBounds(4, 3))
         assert ok and bad == []
-
-
-class TestFiniteTrace:
-    def test_half_to_three_quarters(self):
-        traced, wits = finite_trace(cs("1/2"), cs("3/4"), EnumBounds(4, 6))
-        assert traced.elements == (F(1, 2),)
-        (w,) = wits
-        assert (w.m - 1 + w.k * w.i + w.f) / w.m == w.target == F(3, 4)
-
-    def test_third_to_one(self):
-        traced, wits = finite_trace(cs("1/3"), cs("1"), EnumBounds(4, 6))
-        assert traced.elements == (F(1, 3),)
-        (w,) = wits
-        assert (w.m - 1 + w.k * w.i + w.f) / w.m == F(1)
-
-    def test_no_representation(self):
-        traced, wits = finite_trace(cs("2/5"), cs("1/2"), EnumBounds(4, 4))
-        assert traced.elements == () and wits == []
 
 
 class TestDeterminism:

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from coregcalc.dualcx import regularity_coregularity
 from coregcalc.setalg import DomainError
 from coregcalc.toric import (
     SimplicialCone,
@@ -12,7 +11,6 @@ from coregcalc.toric import (
     parse_toric_pair,
     toric_lct,
     toric_lct_oracle,
-    toric_stratification,
 )
 
 
@@ -130,23 +128,6 @@ class TestOracle:
             tp = ToricPair(cone, b, c)
             assert toric_lct_oracle(tp, 8) == toric_lct(tp)
             done += 1
-
-
-class TestStratification:
-    def test_full_ray_set_has_coregularity_zero(self):
-        cone = SimplicialCone(((1, 0, 0), (0, 1, 0), (1, 1, 2)))
-        sb = toric_stratification(cone, (0, 1, 2))
-        assert regularity_coregularity(sb) == (2, 0)
-
-    def test_partial_ray_set(self):
-        cone = SimplicialCone(((1, 0, 0), (0, 1, 0), (1, 1, 2)))
-        sb = toric_stratification(cone, (0, 1))
-        assert regularity_coregularity(sb) == (1, 1)
-
-    def test_empty_choice_rejected(self):
-        cone = SimplicialCone(((1, 0), (0, 1)))
-        with pytest.raises(DomainError):
-            toric_stratification(cone, ())
 
 
 class TestParsing:
