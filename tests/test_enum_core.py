@@ -15,7 +15,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coregcalc import cli, lctsets, setalg
@@ -40,6 +40,7 @@ from coregcalc.setalg import (
     d_d_set,
     mem_d_d_set,
     plus_closure,
+    plus_closure_exact,
     sums,
 )
 
@@ -146,6 +147,17 @@ def ref_accumulation_candidates(I, J, c, b):
         if cand.value not in by_value:
             by_value[cand.value] = cand
     return [by_value[v] for v in sorted(by_value)]
+
+
+def ref_hypothesis_violations(I):
+    """The containment hypotheses of accumulation_candidates, with the
+    closure test done by listing the full I+."""
+    violations = []
+    if 1 not in I:
+        violations.append("1 is not an element of I")
+    if set(plus_closure_exact(I)) - (set(I.elements) | {ZERO}):
+        violations.append("I is not closed under sums (I != I+)")
+    return violations
 
 
 def ref_check_dd_monotone(I, d, b):
@@ -268,6 +280,18 @@ def test_accumulation_candidates_match_nested_loops(I, J, c, terms, index):
     assert cands == ref_accumulation_candidates(I, J, c, b)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coefficient(F(3, 2)), max_size=4).map(CoeffSet.of), st.sampled_from((0, 1)))
+@example(CoeffSet.parse("1/3,2/3,1"), 0)
+@example(CoeffSet.parse("1/2,1"), 1)
+@example(CoeffSet.parse("2/3,3/2"), 0)
+@example(CoeffSet.parse("1/4,1/2,3/4"), 1)
+@example(CoeffSet.parse("0,1/3,2/3"), 0)
+def test_hypothesis_violations_match_full_closure(I, c):
+    _, violations = accumulation_candidates(I, CoeffSet.parse("1"), c, EnumBounds(2, 2))
+    assert violations == ref_hypothesis_violations(I)
+
+
 # ---------------------------------------------------------------------------
 # one per-triple path
 
@@ -338,6 +362,9 @@ GUARD_QUERIES = [
      "82a08a235e737ed737d303cf1e4add36ef29af0fa13d6e1e84722162ae6ddcd5"),
     ("p1-oracle --I 1/3,2/5 --J 1,1/2 --degree 2 --bounds terms=4,index=6 --witness",
      "99e51874147697c604d0df4a1a94cc36071e323ea5519afd17881b4c6abd4399"),
+    # I+ has ~10^4 elements; the closure test needs only the pairwise sums
+    ("accum --I 2/99991,3/7 --J 1 --c 0",
+     "9b59f6bb70553872c33ca103f956b73b06019bc19c5ae2537cd15396b6d90f86"),
 ]
 
 

@@ -322,6 +322,11 @@ class TestMemLct0:
     @example(CoeffSet.parse("2/5"), CoeffSet.parse("1"), F(0))
     @example(CoeffSet.parse("1/2"), CoeffSet.parse("3/2,1/2"), F(1, 3))
     @example(CoeffSet.parse("1/3"), CoeffSet.parse("3/2,1"), F(4, 15))
+    # the scaled j that can give an integral scaled i are the multiples of 3
+    # (resp. 2); the least of them, 0, lies below the least scaled element 3
+    # (resp. 5) of J, and the least one above is 3 (resp. 6, then 8 and 10)
+    @example(CoeffSet.parse("1/3"), CoeffSet.parse("3/2"), F(2, 9))
+    @example(CoeffSet.parse("1/6"), CoeffSet.parse("5/2"), F(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_verdict_and_witness_agree_with_reference(self, I, J, t):
         ok, w = mem_lct0(t, I, J)
@@ -367,6 +372,7 @@ class TestMemLct1:
 
 GUARD_QUERIES = [
     ("mem lct0 1/997 --I 1/3,2/5 --J 1/2,1", 0, "true c0(i=0,j=997)\n"),
+    ("mem lct0 1/99991 --I 1/3,2/5 --J 1/2,1", 0, "true c0(i=0,j=99991)\n"),
     ("mem dset 9999/10000 --I 1/3,2/5", 0, "true\n"),
     ("mem plus 1/2 --I 2/999983,3/7", 1, "false\n"),
     ("mem ddset 9999/10000 --I 1/3,2/5 --d 1/997", 1, "false\n"),
