@@ -12,10 +12,11 @@ Coregularity one has one family per triple (p,q,r) of positive integers with
 
     { (qr+pr+pq-pqr - i)/j : i, j weighted combinations qr*x1+pr*x2+pq*x3 (+ pqr-tail) }.
 
-One collector lists the values of any families, and one scan finds the
-witness of a given t with the least j.  Both sets are cross-checked against
-an independent oracle that brute-forces the degree equation
-sum_k (N_k-1+d_k)/N_k = 1 (resp. 2) on the projective line with
+One collector lists the values of any families.  t is in LCT0 exactly when
+1 = i + t*j splits (``setalg.split``, which finds the least j by lookups);
+``mem_lct1`` scans each triple's j-values for the least one.  Both sets are
+cross-checked against an independent oracle that brute-forces the degree
+equation sum_k (N_k-1+d_k)/N_k = 1 (resp. 2) on the projective line with
 d_k = i_k + t*j_k and solves for t.  Every value carries a provenance
 witness from which the defining formula can be replayed exactly.
 """
@@ -34,11 +35,11 @@ from .setalg import (
     CoeffSet,
     DomainError,
     EnumBounds,
-    mem_plus_closure,
     plus_closure,
     plus_closure_exact,
     pos_combinations,
     pos_combinations_exact,
+    split,
     sums,
 )
 
@@ -211,30 +212,6 @@ def _collect(families, b: Optional[EnumBounds] = None, floor: Optional[Fraction]
     return LctSet.collect(_denominator_filter(_thresholds(families, floor), b))
 
 
-def _first_witness(t: Fraction, families) -> Optional[Witness]:
-    """The witness of t = (base - i)/j in the first family that has one,
-    with the least j: each j in ascending order gives i = base - t*j, which
-    is one lookup in ivals.  So jvals must list every j up to base/t, or at
-    t = 0 the least j, and ivals only needs `in`."""
-    for base, ivals, jvals, witness in families:
-        for j in sorted(jvals):
-            i = base - t * j
-            if i >= 0 and i in ivals:
-                return witness(i, j)
-    return None
-
-
-@dataclass(frozen=True)
-class _PlusLookup:
-    """I+ as the i-values of a family: `i in` it is one Apéry lookup, and it
-    is never enumerated (for I = {2/999983, 3/7} it is huge)."""
-
-    I: CoeffSet
-
-    def __contains__(self, i: Fraction) -> bool:
-        return mem_plus_closure(i, self.I)
-
-
 def lct0_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds) -> LctSet:
     """Bounded enumeration of {(1-i)/j >= 0}; i runs over the bounded I+,
     j over positive combinations of J up to b.max_value."""
@@ -242,20 +219,14 @@ def lct0_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds) -> LctSet:
 
 
 def mem_lct0(t: Fraction, I: CoeffSet, J: CoeffSet) -> tuple[bool, Optional[Coreg0Witness]]:
-    """Exact membership in the full coregularity-zero set.
-
-    Every representation has i = 1 - t*j <= 1, and for t > 0 also
-    j = (1-i)/t <= 1/t, so the finitely many combinations j <= 1/t are
-    scanned exactly.  For t = 0 the least j, the least element of J, is the
-    witness when 1 is in I+.
-    """
+    """Exact membership in the full coregularity-zero set: t = (1-i)/j
+    exactly when 1 = i + t*j splits with i in I+ and j a positive
+    combination of J, and the witness has the least such j (at t = 0, the
+    least element of J)."""
     if t < 0:
         raise DomainError("thresholds are nonnegative")
-    if J.min_positive is None:
-        raise DomainError("J needs a positive element")
-    js = pos_combinations_exact(J, 1 / t if t else J.min_positive)
-    w = _first_witness(t, [(ONE, _PlusLookup(I), js, Coreg0Witness)])
-    return w is not None, w
+    ij = split(ONE, I, t, J)
+    return ij is not None, Coreg0Witness(*ij) if ij else None
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +371,16 @@ def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> MemRes
     iexact = plus_closure_exact(I)
     jexact = plus_closure_exact(J)
     jmin = jexact.min_positive or ZERO
-    families = (
-        _triple_values(tr, iexact, jexact, tr.base / t if t else tr.p * tr.q * jmin, None)
-        for tr in platonic_triples(triple_bound)
-    )
-    w = _first_witness(t, families)
-    return MemResult(w is not None, w, triple_bound)
+    for tr in platonic_triples(triple_bound):
+        # the first triple with a witness wins, and in it the least j: each
+        # j in ascending order gives i = base - t*j, one lookup in ivals
+        base, ivals, jvals, witness = _triple_values(
+            tr, iexact, jexact, tr.base / t if t else tr.p * tr.q * jmin, None)
+        for j in sorted(jvals):
+            i = base - t * j
+            if i >= 0 and i in ivals:
+                return MemResult(True, witness(i, j), triple_bound)
+    return MemResult(False, None, triple_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +520,10 @@ def accumulation_candidates(
     violations = []
     if 1 not in I:
         violations.append("1 is not an element of I")
-    closure = set(plus_closure_exact(I))
-    if closure - (set(I.elements) | {ZERO}):
+    # I+ lies in I u {0} exactly when every sum a+b <= 1 of two positive
+    # elements does: a longer sum <= 1 has a two-term partial sum <= 1
+    pos = I.positive()
+    if any(a + b <= 1 and a + b not in I for a in pos for b in pos if a <= b):
         violations.append("I is not closed under sums (I != I+)")
     if J.min_positive is None:
         return [], violations

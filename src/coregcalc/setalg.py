@@ -9,8 +9,11 @@ The three derived sets are
 Sets are represented by finitely many nonnegative rational generators.
 Enumerations are complete relative to explicit parameter bounds (term count,
 m, k, value cap); the ``mem_*`` deciders are exact and never truncate.  All
-values are ``fractions.Fraction``; the deciders rest on ``in_semigroup``,
-which scales a set to integers once and answers each query by one lookup.
+values are ``fractions.Fraction``.  The deciders rest on one integer lookup,
+``CoeffSet.has_sum``, in a table built once per set: ``in_semigroup`` asks
+it once, and ``split`` (rest = i + d*j with i in I+ and j a positive sum of
+J) asks it twice per candidate j.  D(I) and D_d(I) membership is one scan
+over m of ``split`` with J = {1}.
 """
 
 from dataclasses import dataclass
@@ -98,6 +101,24 @@ class CoeffSet:
                     w[c] = n
         return tuple(w)
 
+    @cached_property
+    def _least(self) -> Optional[int]:
+        """The smallest positive element scaled by L, or None."""
+        g = self.min_positive
+        return None if g is None else g.numerator * (self.scale // g.denominator)
+
+    def has_sum(self, y: int) -> bool:
+        """Whether y/L (L = self.scale) is a finite sum of positive elements,
+        for an integer y: one lookup in the Apéry table.  Below the smallest
+        scaled element only 0 is a sum, and that is answered without the
+        table, which has one entry per integer below that element; so the
+        table never outgrows the largest y looked up."""
+        least = self._least
+        if least is None or y < least:
+            return y == 0
+        w = self.apery[y % least]
+        return w is not None and w <= y
+
     def __contains__(self, x) -> bool:
         return x in self.elements
 
@@ -137,6 +158,7 @@ class EnumBounds:
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
+UNIT = CoeffSet((ONE,))
 
 
 def sums(gens: Iterable[Fraction], cap: Fraction, max_terms: Optional[int] = None) -> set[Fraction]:
@@ -178,25 +200,52 @@ def plus_closure_exact(I: CoeffSet) -> CoeffSet:
 
 def in_semigroup(x: Fraction, S: CoeffSet) -> bool:
     """Whether x >= 0 is a finite sum of positive elements of S (0 is the
-    empty sum).
-
-    One lookup in the Apéry table S.apery: L*x (L = S.scale) must be an
-    integer, and it is a sum exactly when it is at least the least sum in
-    its residue class.  Below the smallest positive element only 0 is a
-    sum, and that is answered without the table, which has one entry per
-    multiple of 1/L below that element; so the table never outgrows L*x.
-    """
+    empty sum): L*x (L = S.scale) must be an integer, and then it is one
+    lookup, S.has_sum(L*x)."""
     if x < 0:
         raise DomainError(f"argument {format_rational(x)} is negative")
-    least_gen = S.min_positive
-    if least_gen is None or x < least_gen:
-        return x == 0
-    L, w = S.scale, S.apery
-    if L % x.denominator:
-        return False
-    y = x.numerator * (L // x.denominator)
-    least = w[y % len(w)]
-    return least is not None and least <= y
+    L = S.scale
+    return L % x.denominator == 0 and S.has_sum(x.numerator * (L // x.denominator))
+
+
+def split(
+    rest: Fraction, I: CoeffSet, d: Fraction, J: CoeffSet
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The (i, j) with rest = i + d*j, i a sum of elements of I (so in I+
+    when 0 <= rest <= 1) and j the least positive sum of elements of J; or
+    None when there is none.  J needs a positive element.
+
+    At d = 0 the answer is (rest, min J) when rest is a sum.  For d > 0 only
+    j = n/L_J with L_I*i integral can pass (L_I = I.scale, L_J = J.scale).
+    With L_I*d/L_J = u/v in lowest terms, L_I*i = (v*L_I*rest - n*u)/v, so
+    v*L_I*rest must be an integer and n is one residue class mod v.  Its
+    members from L_J*min J up are tried in ascending order while L_I*i >= 0;
+    L_I*i falls by u from one to the next, so there are at most
+    L_I*rest/u + 1 of them, and each costs two lookups.
+    """
+    jmin = J.min_positive
+    if jmin is None:
+        raise DomainError("J needs a positive element")
+    if d == 0:
+        return (rest, jmin) if in_semigroup(rest, I) else None
+    LI, LJ = I.scale, J.scale
+    du, dv = d.numerator * LI, d.denominator * LJ
+    g = gcd(du, dv)
+    u, v = du // g, dv // g
+    vr, q = divmod(v * LI * rest.numerator, rest.denominator)
+    if q:
+        return None
+    # n*u = vr (mod v); the least such n that is at least J._least
+    n = vr * pow(u, -1, v) % v
+    if n < J._least:
+        n += -((n - J._least) // v) * v
+    y = (vr - n * u) // v
+    while y >= 0:
+        if I.has_sum(y) and J.has_sum(n):
+            return Fraction(y, LI), Fraction(n, LJ)
+        n += v
+        y -= u
+    return None
 
 
 def mem_plus_closure(a: Fraction, I: CoeffSet) -> bool:
@@ -229,27 +278,6 @@ def d_set(I: CoeffSet, b: EnumBounds) -> CoeffSet:
     return _shifted(plus_closure(I, b), ZERO, b.max_index)
 
 
-def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
-    """Exact membership a in D(I).
-
-    For a < 1, f >= 0 forces m <= 1/(1-a); each m determines f = m*a-m+1.
-    Only the m for which L*f is an integer (L = I.scale) can give an f
-    in I+, and with a = p/q these are the multiples of q/gcd(q, L).
-    For a = 1 the only shape is f = 1, so the test is 1 in I+.
-    """
-    if a < 0 or a > 1:
-        raise DomainError(f"argument {format_rational(a)} outside [0,1]")
-    if a == 1:
-        return mem_plus_closure(ONE, I)
-    max_m = int(1 / (1 - a))
-    step = a.denominator // gcd(a.denominator, I.scale)
-    for m in range(step, max_m + 1, step):
-        f = m * a - m + 1
-        if 0 <= f <= 1 and mem_plus_closure(f, I):
-            return True
-    return False
-
-
 def _check_shift(d: Fraction) -> None:
     if not (0 < d <= 1):
         raise DomainError("shift d must lie in (0,1]")
@@ -275,40 +303,34 @@ def d_d_set(I: CoeffSet, d: Fraction, b: EnumBounds) -> CoeffSet:
     return _shifted(plus_closure(I, b), d, b.max_index)
 
 
+def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
+    """Exact membership a in D(I): the scan of mem_d_d_set with the single
+    shift 0."""
+    return _mem_shifted(a, I, ZERO)
+
+
 def mem_d_d_set(a: Fraction, I: CoeffSet, d: Fraction) -> bool:
-    """Exact membership a in D_d(I).
-
-    For a < 1: f + k*d = 1 - m*(1-a) > 0 forces m < 1/(1-a), and k*d <= that
-    remainder bounds k.  For a = 1 the equation reduces to f + k*d = 1 for
-    any m (m cancels), so it suffices to scan k <= 1/d at m = 1.
-
-    Only L-integral f = rest - k*d can lie in I+ (L = I.scale).  With
-    L*d = u/v in lowest terms that needs v*L*rest to be an integer, which
-    keeps m to the multiples of q/gcd(q, v*L) for a = p/q, and then
-    k*u = v*L*rest (mod v), which keeps k to one residue class mod v.
-    """
+    """Exact membership a in D_d(I)."""
     _check_shift(d)
+    return _mem_shifted(a, I, d)
+
+
+def _mem_shifted(a: Fraction, I: CoeffSet, d: Fraction) -> bool:
+    """Whether a = (m-1+f+k*d)/m for some m >= 1, f in I+ and k >= 1 (any
+    k when d = 0): whether rest = 1 - m*(1-a) splits as f + d*k.
+
+    For a < 1, rest >= 0 forces m <= 1/(1-a).  For a = 1 the rest is 1 for
+    every m, so m = 1 suffices.  Only L-integral f = rest - k*d can lie in
+    I+ (L = I.scale); with L*d = u/v in lowest terms that needs v*L*rest to
+    be an integer, which keeps m to the multiples of q/gcd(q, v*L) for
+    a = p/q.
+    """
     if a < 0 or a > 1:
         raise DomainError(f"argument {format_rational(a)} outside [0,1]")
-    L = I.scale
-    Ld = L * d
-    u, v = Ld.numerator, Ld.denominator
-    u_inv = pow(u, -1, v)
-    if a == 1:
-        ms = [1]
-    else:
-        step = a.denominator // gcd(a.denominator, v * L)
-        ms = range(step, int(1 / (1 - a)) + 1, step)
-    for m in ms:
-        rest = 1 - m * (1 - a)  # = f + k*d
-        if rest <= 0:
-            break
-        k = int(v * L * rest) * u_inv % v or v
-        while k * d <= rest:
-            if mem_plus_closure(rest - k * d, I):
-                return True
-            k += v
-    return False
+    b = 1 - a
+    step = a.denominator // gcd(a.denominator, (I.scale * d).denominator * I.scale)
+    ms = range(step, (int(1 / b) if b else 1) + 1, step)
+    return any(split(1 - m * b, I, d, UNIT) for m in ms)
 
 
 def check_ddi_lemma(I: CoeffSet, b: EnumBounds) -> tuple[bool, list]:

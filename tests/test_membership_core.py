@@ -27,12 +27,14 @@ from coregcalc.lctsets import (
     platonic_triples,
 )
 from coregcalc.setalg import (
+    UNIT,
     CoeffSet,
     DomainError,
     in_semigroup,
     mem_d_d_set,
     mem_d_set,
     mem_plus_closure,
+    split,
 )
 
 
@@ -133,6 +135,18 @@ def mem_lct1_reference(t, I, J, triple_bound):
             if base - t * j in ivals:
                 return True, Coreg1Witness(tr.p, tr.q, tr.r, base - t * j, j)
     return False, None
+
+
+def split_reference(rest, I, d, J):
+    """Every positive sum j <= rest/d of J in ascending order, with
+    i = rest - d*j decided by the knapsack; at d = 0 the least element of J
+    when rest is a sum of I."""
+    if d == 0:
+        return (rest, J.min_positive) if knapsack_member(rest, I) else None
+    for j in sorted(sums_up_to(J.positive(), rest / d) - {0}):
+        if knapsack_member(rest - d * j, I):
+            return rest - d * j, j
+    return None
 
 
 def mem_d_set_reference(a, I):
@@ -243,6 +257,36 @@ class TestInSemigroup:
         assert not {"scale", "apery"} & {f.name for f in dataclasses.fields(CoeffSet)}
         T = CoeffSet.parse("2/5,1/3")
         assert S == T and hash(S) == hash(T)
+
+
+class TestSplit:
+    @given(
+        generator_sets,
+        # J = {1}, and J with elements above 1
+        st.one_of(
+            st.just(UNIT),
+            st.lists(rationals(F(1, 4), 3, 6), min_size=1, max_size=2).map(CoeffSet.of),
+        ),
+        st.one_of(st.just(F(0)), rationals(F(1, 12), 1, 12)),
+        # denominators up to 30: often not L_I-integral
+        rationals(0, 1, 30),
+    )
+    @example(CoeffSet.parse("1/3"), UNIT, F(0), F(2, 3))
+    @example(CoeffSet.parse("1/3"), UNIT, F(1, 6), F(5, 6))
+    @example(CoeffSet.parse("1/3,2/5"), CoeffSet.parse("3/2,5/2"), F(1, 12), F(1))
+    @example(CoeffSet.parse("1/3"), CoeffSet.parse("1/2"), F(1, 4), F(1, 7))
+    @example(CoeffSet.parse("1/3"), CoeffSet.parse("1/2"), F(2, 7), F(1, 7))
+    @example(CoeffSet.parse(""), CoeffSet.parse("3/2"), F(1, 3), F(1, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_least_j_scan(self, I, J, d, rest):
+        got = split(rest, I, d, J)
+        assert got == split_reference(rest, I, d, J)
+        if got:
+            assert got[0] + d * got[1] == rest
+
+    def test_needs_a_positive_element_of_j(self):
+        with pytest.raises(DomainError, match="positive element"):
+            split(F(1), UNIT, F(1, 2), CoeffSet.parse("0"))
 
 
 class TestDerivedSetDeciders:
