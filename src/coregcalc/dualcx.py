@@ -17,7 +17,7 @@ The empty complex has dimension -1 by convention.
 from dataclasses import dataclass
 from typing import Mapping
 
-from .setalg import DomainError
+from .rationals import DomainError, parse_int
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,17 @@ def parse_stratification(text: str) -> StratifiedBoundary:
         if parts[0] in ("dim", "divisors") and len(parts) == 2:
             if parts[0] in headers:
                 raise DomainError(f"line {lineno}: repeated `{parts[0]}` header")
-            headers[parts[0]] = int(parts[1])
+            headers[parts[0]] = parse_int(parts[1], lineno)
             if headers[parts[0]] < 0:
                 raise DomainError(f"line {lineno}: negative `{parts[0]}` value {parts[1]}")
         elif parts[0] == "stratum" and len(parts) == 3:
-            indices = [int(x) - 1 for x in parts[1].split(",")]
+            indices = [parse_int(x, lineno) - 1 for x in parts[1].split(",")]
             idx = frozenset(indices)
             if len(idx) != len(indices):
                 raise DomainError(f"line {lineno}: repeated divisor index in stratum {parts[1]}")
             if idx in strata:
                 raise DomainError(f"line {lineno}: stratum {parts[1]} is listed twice")
-            strata[idx] = int(parts[2])
+            strata[idx] = parse_int(parts[2], lineno)
         else:
             raise DomainError(f"line {lineno}: cannot parse {raw!r}")
     if set(headers) != {"dim", "divisors"}:

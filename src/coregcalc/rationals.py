@@ -8,6 +8,18 @@ when the denominator is one.
 from fractions import Fraction
 
 
+class DomainError(ValueError):
+    """Input outside the mathematical domain of an operation."""
+
+
+def parse_int(text: str, lineno: int) -> int:
+    """Parse an integer field of line `lineno` of an input file."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"line {lineno}: expected an integer, got {text!r}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q`` or a bare integer; rejects floats and empty input."""
     text = text.strip()

@@ -22,11 +22,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .rationals import format_rational, parse_rational
-
-
-class DomainError(ValueError):
-    """Input outside the mathematical domain of an operation."""
+from .rationals import DomainError, format_rational, parse_rational
 
 
 @dataclass(frozen=True)

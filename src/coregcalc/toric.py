@@ -18,8 +18,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .rationals import parse_rational
-from .setalg import DomainError
+from .rationals import DomainError, parse_int, parse_rational
 
 INFINITY = None  # threshold of a pair with c identically zero
 # Largest lattice box, (2r+1)^n points, that toric_lct_oracle will scan.
@@ -165,23 +164,25 @@ def toric_lct_oracle(tp: ToricPair, box_radius: int) -> Optional[Fraction]:
 
 def parse_toric_pair(text: str) -> ToricPair:
     """Parse the line format: `dim n`, n ray lines of n integers,
-    `b: ...`, `c: ...` with rationals as p/q."""
-    lines = [ln for ln in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if ln]
-    head = lines[0].split() if lines else []
+    `b: ...`, `c: ...` with rationals as p/q.  Each of `b:` and `c:`
+    appears once: the answer must not depend on which of two is read last."""
+    stripped = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+    lines = [(lineno, ln) for lineno, ln in enumerate(stripped, 1) if ln]
+    head = lines[0][1].split() if lines else []
     if len(head) != 2 or head[0] != "dim" or not head[1].isdecimal() or int(head[1]) < 1:
         raise DomainError("cone file must start with `dim n`, n a positive integer")
     n = int(head[1])
     if len(lines) < n + 3:
         raise DomainError("cone file is truncated")
-    rays = [tuple(int(x) for x in ln.split()) for ln in lines[1:n + 1]]
-    b = c = None
-    for ln in lines[n + 1:]:
-        if ln.startswith("b:"):
-            b = tuple(parse_rational(x) for x in ln[2:].split())
-        elif ln.startswith("c:"):
-            c = tuple(parse_rational(x) for x in ln[2:].split())
-        else:
+    rays = [tuple(parse_int(x, lineno) for x in ln.split()) for lineno, ln in lines[1:n + 1]]
+    coeffs: dict[str, tuple[Fraction, ...]] = {}
+    for lineno, ln in lines[n + 1:]:
+        key = ln[:2]
+        if key not in ("b:", "c:"):
             raise DomainError(f"cannot parse cone file line {ln!r}")
-    if b is None or c is None:
+        if key in coeffs:
+            raise DomainError(f"line {lineno}: repeated `{key}` line")
+        coeffs[key] = tuple(parse_rational(x) for x in ln[2:].split())
+    if set(coeffs) != {"b:", "c:"}:
         raise DomainError("cone file needs `b:` and `c:` lines")
-    return ToricPair(SimplicialCone(tuple(rays)), b, c)
+    return ToricPair(SimplicialCone(tuple(rays)), coeffs["b:"], coeffs["c:"])

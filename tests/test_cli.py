@@ -149,6 +149,21 @@ class TestFileCommands:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr == "error: line 2: negative `divisors` value -2\n"
 
+    def test_dualcx_non_integer_field_exits_two(self, tmp_path):
+        f = tmp_path / "strat.txt"
+        f.write_text("dim 3\ndivisors 2\nstratum 1,,2 1\n")
+        r = run("dualcx", str(f))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: line 3: expected an integer, got ''\n"
+
+    def test_toric_repeated_coefficient_line_exits_two(self, tmp_path):
+        # read last-wins, this file printed 0 and exited 0
+        f = tmp_path / "cone.txt"
+        f.write_text("dim 2\n1 0\n0 1\nb: 0 0\nc: 1 1\nb: 1 1\n")
+        r = run("toric-lct", str(f))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: line 6: repeated `b:` line\n"
+
     def test_toric_lct_with_oracle(self, tmp_path):
         f = tmp_path / "cone.txt"
         f.write_text("dim 2\n1 0\n1 2\nb: 0 1/2\nc: 1 1\n")

@@ -146,3 +146,16 @@ stratum 1,2,3 1
         with pytest.raises(DomainError) as exc:
             parse_stratification(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dim 3\ndivisors 2\nstratum 1,,2 1\n", "line 3: expected an integer, got ''"),
+            ("dim x\ndivisors 2\n", "line 1: expected an integer, got 'x'"),
+            ("dim 3\n\ndivisors 2\nstratum 1,2 x\n", "line 4: expected an integer, got 'x'"),
+        ],
+    )
+    def test_non_integer_field_rejected_with_line_number(self, text, message):
+        with pytest.raises(DomainError) as exc:
+            parse_stratification(text)
+        assert str(exc.value) == message

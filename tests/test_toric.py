@@ -153,6 +153,17 @@ c: 1 1
         with pytest.raises(DomainError):
             parse_toric_pair("1 0\n0 1\n")
 
+    @pytest.mark.parametrize("key", ["b:", "c:"])
+    def test_repeated_coefficient_line_rejected(self, key):
+        # read last-wins, a second `b:` line silently replaced the first
+        with pytest.raises(DomainError, match=f"^line 6: repeated `{key}` line$"):
+            parse_toric_pair(self.TEXT + f"{key} 1 1\n")
+
+    @pytest.mark.parametrize("field", ["2/1", "x", "1.5"])
+    def test_non_integer_ray_field_reported_with_line_number(self, field):
+        with pytest.raises(DomainError, match=f"^line 4: expected an integer, got '{field}'$"):
+            parse_toric_pair("# rays\n" + self.TEXT.replace("1 2", "1 " + field))
+
     @pytest.mark.parametrize("head", ["dim", "dim two", "dim 2/1", "dim 2 2", "dim 0", "dim -1"])
     def test_malformed_dimension_rejected(self, head):
         with pytest.raises(DomainError, match="positive integer"):
