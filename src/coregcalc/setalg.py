@@ -201,7 +201,9 @@ def in_semigroup(x: Fraction, S: CoeffSet) -> bool:
     if x < 0:
         raise DomainError(f"argument {format_rational(x)} is negative")
     L = S.scale
-    return L % x.denominator == 0 and S.has_sum(x.numerator * (L // x.denominator))
+    if L % x.denominator:
+        return False
+    return S.has_sum(x.numerator * (L // x.denominator))
 
 
 def split(
@@ -231,10 +233,8 @@ def split(
     vr, q = divmod(v * LI * rest.numerator, rest.denominator)
     if q:
         return None
-    # n*u = vr (mod v); the least such n that is at least J._least
-    n = vr * pow(u, -1, v) % v
-    if n < J._least:
-        n += -((n - J._least) // v) * v
+    # the least n >= L_J*min J with n*u = vr (mod v)
+    n = J._least + (vr * pow(u, -1, v) - J._least) % v
     y = (vr - n * u) // v
     while y >= 0:
         if I.has_sum(y) and J.has_sum(n):
