@@ -80,6 +80,8 @@ CASES = [
     ("lemma-dd-monotone", ["lemma-check", "dd-monotone", "--I", "1/2", "--d", "1/3", "--bounds", "terms=3,index=3"], None),
     ("lemma-dd-monotone-no-shift", ["lemma-check", "dd-monotone", "--I", "0"], None),
     ("bounds-unknown-key", ["plus", "--I", "1/2", "--bounds", "depth=3"], None),
+    ("mem-lct1-small-t", ["mem", "lct1", "3/1000", "--I", "5/9,7/11", "--J", "1,1/2", "--triple-bound", "4"], None),
+    ("plus-large-denominator", ["plus", "--I", "2/997,3/7", "--bounds", "terms=12"], None),
 ]
 
 
