@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import functools
 import sys
-from fractions import Fraction
 
 from . import dualcx, lctsets, setalg, toric
 from .rationals import format_rational, parse_rational
@@ -26,25 +25,24 @@ def _parse_set(text):
     return CoeffSet.parse(text)
 
 
+_BOUND_KEYS = {"terms": int, "index": int, "value": parse_rational, "denom": int}
+
+
 def _parse_bounds(text):
-    terms, index, value, denom = DEFAULT_TERMS, 6, None, None
-    if text:
-        for item in text.split(","):
-            key, _, raw = item.partition("=")
-            key = key.strip()
-            if not raw:
-                raise DomainError(f"malformed bounds item {item!r}")
-            if key == "terms":
-                terms = int(raw)
-            elif key == "index":
-                index = int(raw)
-            elif key == "value":
-                value = parse_rational(raw)
-            elif key == "denom":
-                denom = int(raw)
-            else:
-                raise DomainError(f"unknown bounds key {key!r}")
-    return EnumBounds(terms, index, value, denom)
+    """EnumBounds from `key=value,...`; each key at most once."""
+    given = {}
+    for item in text.split(",") if text else ():
+        key, _, raw = item.partition("=")
+        key = key.strip()
+        if not raw:
+            raise DomainError(f"malformed bounds item {item!r}")
+        if key not in _BOUND_KEYS:
+            raise DomainError(f"unknown bounds key {key!r}")
+        if key in given:
+            raise DomainError(f"repeated bounds key {key!r}")
+        given[key] = _BOUND_KEYS[key](raw)
+    return EnumBounds(given.get("terms", DEFAULT_TERMS), given.get("index", 6),
+                      given.get("value"), given.get("denom"))
 
 
 def _verdict(ok, out, detail=""):

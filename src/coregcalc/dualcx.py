@@ -137,9 +137,10 @@ def parse_stratification(text: str) -> StratifiedBoundary:
     singletons may be omitted).  Each header and each stratum appears at
     most once, and no index repeats within a stratum: the answer must not
     depend on which of two conflicting lines is read last.  No header value
-    is negative."""
+    is negative, and every index lies in 1..r."""
     headers: dict[str, int] = {}
     strata: dict[frozenset, int] = {}
+    lines: dict[frozenset, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -159,9 +160,14 @@ def parse_stratification(text: str) -> StratifiedBoundary:
             if idx in strata:
                 raise DomainError(f"line {lineno}: stratum {parts[1]} is listed twice")
             strata[idx] = parse_int(parts[2], lineno)
+            lines[idx] = lineno, parts[1]
         else:
             raise DomainError(f"line {lineno}: cannot parse {raw!r}")
     if set(headers) != {"dim", "divisors"}:
         raise DomainError("stratification file needs `dim` and `divisors` headers")
     ndiv = headers["divisors"]
+    for idx, (lineno, text) in lines.items():
+        if not all(0 <= i < ndiv for i in idx):
+            raise DomainError(f"line {lineno}: divisor index out of range in stratum "
+                              f"{text}: there are {ndiv} divisors")
     return StratifiedBoundary.build(headers["dim"], [f"E{i + 1}" for i in range(ndiv)], strata)

@@ -12,7 +12,9 @@ Coregularity one has one family per triple (p,q,r) of positive integers with
 
     { (qr+pr+pq-pqr - i)/j : i, j weighted combinations qr*x1+pr*x2+pq*x3 (+ pqr-tail) }.
 
-One collector lists the values of any families.  t is in LCT0 exactly when
+The i- and j-values of a triple, like the slopes of the accumulation
+candidates, are one call each of the sum kernel ``setalg.sums``.  One
+collector lists the values of any families.  t is in LCT0 exactly when
 1 = i + t*j splits (``setalg.split``, which finds the least j by lookups);
 ``mem_lct1`` scans each triple's j-values for the least one.  Both sets are
 cross-checked against an independent oracle that brute-forces the degree
@@ -264,46 +266,20 @@ def platonic_triples(bound: int) -> list[PlatonicTriple]:
     return out
 
 
-def _weighted_values(weights, parts, extras, cap: Fraction) -> set:
-    """{w1*x1 + ... + wk*xk + we*e <= cap} for weights (w1, ..., wk, we),
-    over slot values x in parts and e in extras.
-
-    Works on integers: the slot values, the extras and the cap are scaled to
-    one common denominator and sorted.  The sums are built one slot at a
-    time, each slot stops at the cap, the partial sums are deduplicated, and
-    only the distinct sums become Fractions again.
-    """
-    parts, extras = tuple(parts), tuple(extras)
-    D = lcm(cap.denominator, *(x.denominator for x in parts + extras))
-    xs = sorted(x.numerator * (D // x.denominator) for x in parts)
-    es = sorted(e.numerator * (D // e.denominator) for e in extras)
-    top = cap.numerator * (D // cap.denominator)
-    level = {0}
-    for w, vals in zip(weights, [xs] * (len(weights) - 1) + [es]):
-        nxt = set()
-        for s in level:
-            for x in vals:
-                v = s + w * x
-                if v > top:
-                    break
-                nxt.add(v)
-        level = nxt
-    return {Fraction(s, D) for s in level}
-
-
 def _triple_values(tr: PlatonicTriple, iplus, jplus, jcap: Fraction, tail: Optional[int]):
     """The family (base, ivals, jvals, witness) of one triple.
 
     Its i-values and positive j-values are qr*x1 + pr*x2 + pq*x3 + pqr*e
     with the x in I+ (resp. J+) and e a sum of at most `tail` elements of I+
-    (resp. J+), no limit when None.  The tails are generated by I+ and J+,
-    not I and J, which differ when an element exceeds 1.  i-values are
-    capped at the base qr+pr+pq-pqr, j-values at jcap.
+    (resp. J+), no limit when None: one ``sums`` call each, with slot
+    weights (qr, pr, pq) and tail weight pqr.  The tails are generated by I+
+    and J+, not I and J, which differ when an element exceeds 1.  i-values
+    are capped at the base qr+pr+pq-pqr, j-values at jcap.
     """
     p, q, r = tr.p, tr.q, tr.r
-    base, weights = tr.base, (q * r, p * r, p * q, p * q * r)
-    ivals = _weighted_values(weights, iplus, sums(iplus, base / (p * q * r), tail), base)
-    jvals = _weighted_values(weights, jplus, sums(jplus, jcap / (p * q * r), tail), jcap)
+    base, slots = tr.base, (q * r, p * r, p * q)
+    ivals = sums(iplus, base, tail, slots, p * q * r)
+    jvals = sums(jplus, jcap, tail, slots, p * q * r)
     jvals.discard(ZERO)
     return base, ivals, jvals, partial(Coreg1Witness, p, q, r)
 
@@ -534,8 +510,6 @@ def accumulation_candidates(
         iplus = plus_closure(I, b)
         jplus = plus_closure(J, b)
         tail = max(b.max_terms - 3, 0)
-        iextras = sums(iplus, Fraction(2), tail)
-        jextras = sums(jplus, Fraction(tail), tail)
 
         def slope_family(p, q, islope, jslope):
             return (f"({p},{q},r), r -> infinity, i-slope={format_rational(islope)}, "
@@ -548,8 +522,8 @@ def accumulation_candidates(
             # denominator slope q*j1 + p*j2 + pq*ej; the limit is their ratio,
             # so only the distinct slopes matter (the j-slope cap never binds)
             top = Fraction(p + q - p * q)
-            islopes = _weighted_values((q, p, p * q), iplus, iextras, top)
-            jslopes = _weighted_values((q, p, p * q), jplus, jextras, top + p * q * (tail + 1))
+            islopes = sums(iplus, top, tail, (q, p), p * q)
+            jslopes = sums(jplus, top + p * q * (tail + 1), tail, (q, p), p * q)
             jslopes.discard(ZERO)
             families.append((top, islopes, jslopes, partial(slope_family, p, q)))
         pairs += _thresholds(families)

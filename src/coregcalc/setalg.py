@@ -9,11 +9,12 @@ The three derived sets are
 Sets are represented by finitely many nonnegative rational generators.
 Enumerations are complete relative to explicit parameter bounds (term count,
 m, k, value cap); the ``mem_*`` deciders are exact and never truncate.  All
-values are ``fractions.Fraction``.  The deciders rest on one integer lookup,
-``CoeffSet.has_sum``, in a table built once per set: ``in_semigroup`` asks
-it once, and ``split`` (rest = i + d*j with i in I+ and j a positive sum of
-J) asks it twice per candidate j.  D(I) and D_d(I) membership is one scan
-over m of ``split`` with J = {1}.
+values are ``fractions.Fraction``.  Every bounded sum, here and in
+``lctsets``, comes from one integer kernel, ``sums``.  The deciders rest on
+one integer lookup, ``CoeffSet.has_sum``, in a table built once per set:
+``in_semigroup`` asks it once, and ``split`` (rest = i + d*j with i in I+
+and j a positive sum of J) asks it twice per candidate j.  D(I) and D_d(I)
+membership is one scan over m of ``split`` with J = {1}.
 """
 
 from dataclasses import dataclass
@@ -75,8 +76,7 @@ class CoeffSet:
         and simple algorithm for the money changing problem" (Algorithmica
         2007), in O(len(S) * len(table)) steps.
         """
-        L = self.scale
-        scaled = sorted({g.numerator * (L // g.denominator) for g in self.positive()})
+        scaled = sorted(self._scaled)
         if not scaled:
             return ()
         n0 = scaled[0]
@@ -98,20 +98,26 @@ class CoeffSet:
         return tuple(w)
 
     @cached_property
+    def _scaled(self) -> frozenset[int]:
+        """The positive elements scaled by L."""
+        L = self.scale
+        return frozenset(g.numerator * (L // g.denominator) for g in self.positive())
+
+    @cached_property
     def _least(self) -> Optional[int]:
         """The smallest positive element scaled by L, or None."""
-        g = self.min_positive
-        return None if g is None else g.numerator * (self.scale // g.denominator)
+        return min(self._scaled, default=None)
 
     def has_sum(self, y: int) -> bool:
         """Whether y/L (L = self.scale) is a finite sum of positive elements,
-        for an integer y: one lookup in the Apéry table.  Below the smallest
-        scaled element only 0 is a sum, and that is answered without the
-        table, which has one entry per integer below that element; so the
-        table never outgrows the largest y looked up."""
+        for an integer y: one lookup in the Apéry table.  Below twice the
+        smallest scaled element a sum is 0 or a single element, and that is
+        answered from the elements without the table, which has one entry
+        per integer below the smallest; so the table is never larger than
+        half the largest y looked up."""
         least = self._least
-        if least is None or y < least:
-            return y == 0
+        if least is None or y < 2 * least:
+            return y == 0 or y in self._scaled
         w = self.apery[y % least]
         return w is not None and w <= y
 
@@ -157,30 +163,47 @@ ZERO = Fraction(0)
 UNIT = CoeffSet((ONE,))
 
 
-def sums(gens: Iterable[Fraction], cap: Fraction, max_terms: Optional[int] = None) -> set[Fraction]:
-    """0 and every sum of at most max_terms positive elements of gens (with
-    repetition; no limit when None) that is at most cap.
+def sums(gens: Iterable[Fraction], cap: Fraction, max_terms: Optional[int] = None,
+         slots: tuple[int, ...] = (), weight: int = 1) -> set[Fraction]:
+    """0 and every s1*x1 + ... + sk*xk + weight*(y1 + ... + yn) <= cap, for
+    the integer slot weights slots = (s1, ..., sk), with each x and y a
+    positive element of gens or 0 and n <= max_terms (no limit when None).
 
-    Breadth-first: round k reaches each sum whose shortest representation
-    has k terms, so stopping after max_terms rounds cuts exactly.  Without a
-    term limit the search ends because the positive elements are bounded
-    below.
+    The one sum kernel, on integers over one common denominator.  The
+    positive elements are sorted, so each extension stops at the cap.  The
+    slots are filled one at a time; then the y are added breadth-first, each
+    round extending only the sums the round before added, so round n reaches
+    the sums whose shortest representation has n y-terms and the term bound
+    cuts exactly.  Without one the search ends, as the elements are bounded
+    below.  Only the distinct sums become Fractions.
     """
-    pos = [g for g in gens if g > 0]
-    seen = {ZERO}
-    frontier = {ZERO}
+    pos = sorted({g for g in gens if g > 0})
+    D = lcm(cap.denominator, *(g.denominator for g in pos))
+    xs = [g.numerator * (D // g.denominator) for g in pos]
+    top = cap.numerator * (D // cap.denominator)
+    seen = {0}
+    for s in slots:
+        for v in list(seen):
+            for x in xs:
+                t = v + s * x
+                if t > top:
+                    break
+                seen.add(t)
+    frontier = seen
     rounds = 0
     while frontier and (max_terms is None or rounds < max_terms):
         nxt = set()
-        for s in frontier:
-            for g in pos:
-                t = s + g
-                if t <= cap and t not in seen:
-                    seen.add(t)
+        for v in frontier:
+            for x in xs:
+                t = v + weight * x
+                if t > top:
+                    break
+                if t not in seen:
                     nxt.add(t)
+        seen |= nxt
         frontier = nxt
         rounds += 1
-    return seen
+    return {Fraction(v, D) for v in seen}
 
 
 def plus_closure(I: CoeffSet, b: EnumBounds) -> CoeffSet:

@@ -149,6 +149,13 @@ class TestFileCommands:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr == "error: line 2: negative `divisors` value -2\n"
 
+    def test_dualcx_index_out_of_range_exits_two(self, tmp_path):
+        f = tmp_path / "strat.txt"
+        f.write_text("dim 3\ndivisors 2\nstratum 0,1 1\n")
+        r = run("dualcx", str(f))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: line 3: divisor index out of range in stratum 0,1: there are 2 divisors\n"
+
     def test_dualcx_non_integer_field_exits_two(self, tmp_path):
         f = tmp_path / "strat.txt"
         f.write_text("dim 3\ndivisors 2\nstratum 1,,2 1\n")
@@ -213,6 +220,11 @@ class TestRobustness:
     def test_bad_rational_exits_two(self):
         r = run("mem", "plus", "0.5", "--I", "1/2")
         assert r.returncode == 2 and r.stderr.startswith("error:")
+
+    def test_repeated_bounds_key_exits_two(self):
+        r = run("plus", "--I", "1/3", "--bounds", "terms=1,terms=3")
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == "error: repeated bounds key 'terms'\n"
 
     def test_unknown_bounds_key_exits_two(self):
         r = run("plus", "--I", "1/2", "--bounds", "depth=3")

@@ -140,6 +140,10 @@ stratum 1,2,3 1
             ("dim 3\ndivisors 2\n\nstratum 1,1,2 1\n", "line 4: repeated divisor index in stratum 1,1,2"),
             ("dim 3\ndivisors 2\nstratum 1,1 1\n", "line 3: repeated divisor index in stratum 1,1"),
             ("dim 3\n# none\ndivisors -2\n", "line 3: negative `divisors` value -2"),
+            ("dim 3\ndivisors 2\nstratum 0,1 1\n",
+             "line 3: divisor index out of range in stratum 0,1: there are 2 divisors"),
+            ("dim 3\nstratum 1,2 1\nstratum 1,3 1\ndivisors 2\n",
+             "line 3: divisor index out of range in stratum 1,3: there are 2 divisors"),
         ],
     )
     def test_ambiguous_input_rejected_with_line_number(self, text, message):

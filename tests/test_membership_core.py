@@ -21,7 +21,6 @@ from coregcalc import cli
 from coregcalc.lctsets import (
     Coreg0Witness,
     Coreg1Witness,
-    _weighted_values,
     mem_lct0,
     mem_lct1,
     platonic_triples,
@@ -35,6 +34,7 @@ from coregcalc.setalg import (
     mem_d_set,
     mem_plus_closure,
     split,
+    sums,
 )
 
 
@@ -65,9 +65,17 @@ def knapsack_member(x, S):
     return reachable[target]
 
 
-def sums_up_to(gens, cap):
-    """All finite sums (0 included) of the positive gens that are <= cap."""
+def sums_up_to(gens, cap, max_terms=None):
+    """All finite sums (0 included) of at most max_terms positive gens (no
+    limit when None) that are <= cap; a bounded one tries every multiset."""
     pos = [g for g in gens if g > 0]
+    if max_terms is not None:
+        return {
+            sum(c, F(0))
+            for n in range(max_terms + 1)
+            for c in itertools.combinations_with_replacement(pos, n)
+            if sum(c, F(0)) <= cap
+        }
     seen = {F(0)}
     frontier = [F(0)]
     while frontier:
@@ -246,6 +254,13 @@ class TestInSemigroup:
         assert not mem_d_set(F(1, 1000), S)
         assert mem_d_d_set(F(1, 1000), S, F(1, 2000))  # m = 1, k = 2, f = 0
         assert "apery" not in vars(S)
+        # below twice the smallest generator a sum is 0 or one element; the
+        # table of J would have 999,983 entries
+        I, J = CoeffSet.parse("1/2"), CoeffSet.parse("999983/1000000,1")
+        assert mem_lct0(F(1, 2), I, J) == (True, Coreg0Witness(F(1, 2), F(1)))
+        assert in_semigroup(F(999983, 1000000), J) and in_semigroup(F(1), J)
+        assert not in_semigroup(F(1999965, 1000000), J)
+        assert "apery" not in vars(I) and "apery" not in vars(J)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -341,17 +356,24 @@ SLOT_WEIGHTS = [triple_weights(tr) for tr in platonic_triples(5)] + [
 
 
 class TestWeightedValues:
+    """sums with slot weights and a tail weight against the nested-loop
+    reference, whose extras are the reference's sums of at most `tail`
+    parts."""
+
     @given(
         st.sampled_from(SLOT_WEIGHTS),
         st.lists(rationals(0, 1, 6), max_size=4),
-        st.lists(rationals(0, 1, 6), max_size=3),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
         rationals(0, 12, 7),
     )
+    @example((1, 1, 1, 1), [F(1, 2), F(1, 3)], None, F(7, 2))  # the (1,1,1) triple
+    @example((2, 3, 6, 6), [F(1, 6)], None, F(5))
     @settings(max_examples=200, deadline=None)
-    def test_agrees_with_fraction_reference(self, weights, parts, extras, cap):
+    def test_agrees_with_fraction_reference(self, weights, parts, tail, cap):
         parts = {F(0), *parts}
-        extras = {F(0), *extras}
-        assert _weighted_values(weights, parts, extras, cap) == weighted_values_reference(
+        *slots, weight = weights
+        extras = sums_up_to(parts, cap / weight, tail)
+        assert sums(parts, cap, tail, tuple(slots), weight) == weighted_values_reference(
             weights, parts, extras, cap
         )
 
