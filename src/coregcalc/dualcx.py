@@ -166,8 +166,9 @@ def parse_stratification(text: str) -> StratifiedBoundary:
     if set(headers) != {"dim", "divisors"}:
         raise DomainError("stratification file needs `dim` and `divisors` headers")
     ndiv = headers["divisors"]
-    for idx, (lineno, text) in lines.items():
-        if not all(0 <= i < ndiv for i in idx):
-            raise DomainError(f"line {lineno}: divisor index out of range in stratum "
-                              f"{text}: there are {ndiv} divisors")
+    used = frozenset().union(*strata)
+    if used and not (0 <= min(used) and max(used) < ndiv):
+        lineno, written = next(lines[s] for s in strata if min(s) < 0 or max(s) >= ndiv)
+        raise DomainError(f"line {lineno}: divisor index out of range in stratum "
+                          f"{written}: there are {ndiv} divisors")
     return StratifiedBoundary.build(headers["dim"], [f"E{i + 1}" for i in range(ndiv)], strata)
