@@ -264,8 +264,7 @@ def run(argv) -> int:
         cands, violations = lctsets.accumulation_candidates(I, J, args.c, b)
         for v in violations:
             out.write(f"# hypothesis violation: {v}\n")
-        for cand in cands:
-            out.write(f"{format_rational(cand.value)}\t{cand.family}\n")
+        _print_lct_set(cands, True, out)
         return 0
 
     if args.command == "dualcx":

@@ -26,6 +26,7 @@ witness from which the defining formula can be replayed exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import lcm
 from operator import itemgetter
 from typing import Optional, Union
@@ -130,28 +131,8 @@ class TSingularityWitness:
         return f"ts(p={self.p},q={self.q},r={self.r}{tail})"
 
 
-Witness = Union[Coreg0Witness, Coreg1Witness, OracleWitness, TSingularityWitness]
-
-
-def _least_per_value(pairs) -> list:
-    """(value, item) pairs sorted by value, one per value: the item whose
-    string is least, the first one on ties.
-
-    This is what a stable sort on (value, str(item)) followed by keeping the
-    first item of each value gives, but in one dict pass that hashes each
-    value once and formats items only for values met more than once.
-    """
-    best: dict = {}
-    for v, x in pairs:
-        slot = best.setdefault(v, [x, None])
-        if slot[0] is x:
-            continue
-        if slot[1] is None:
-            slot[1] = str(slot[0])
-        key = str(x)
-        if key < slot[1]:
-            slot[:] = x, key
-    return sorted(((v, slot[0]) for v, slot in best.items()), key=itemgetter(0))
+# a str witness is the parametric family of an accumulation candidate
+Witness = Union[Coreg0Witness, Coreg1Witness, OracleWitness, TSingularityWitness, str]
 
 
 @dataclass(frozen=True)
@@ -169,7 +150,25 @@ class LctSet:
 
     @classmethod
     def collect(cls, items) -> "LctSet":
-        return cls(tuple(LctValue(v, w) for v, w in _least_per_value(items)))
+        """The set of the (value, witness) pairs, one per value: the witness
+        whose string is least, the first one on ties.
+
+        This is what a stable sort on (value, str(witness)) followed by
+        keeping the first witness of each value gives, but in one dict pass
+        that hashes each value once and formats witnesses only for values
+        met more than once.
+        """
+        best: dict = {}
+        for v, w in items:
+            slot = best.setdefault(v, [w, None])
+            if slot[0] is w:
+                continue
+            if slot[1] is None:
+                slot[1] = str(slot[0])
+            key = str(w)
+            if key < slot[1]:
+                slot[:] = w, key
+        return cls(tuple(LctValue(v, w) for v, (w, _) in sorted(best.items(), key=itemgetter(0))))
 
     def raw(self) -> tuple[Fraction, ...]:
         return tuple(lv.value for lv in self.values)
@@ -188,24 +187,22 @@ class LctSet:
 def _denominator_filter(items, b: Optional[EnumBounds]):
     if b is None or b.max_denominator is None:
         return items
-    return [(v, w) for v, w in items if v.denominator <= b.max_denominator]
+    return ((v, w) for v, w in items if v.denominator <= b.max_denominator)
 
 
-def _thresholds(families, floor: Optional[Fraction] = None) -> list:
-    """(v, witness(i, j)) for each v = (base - i)/j >= 0 of the families
-    (base, ivals, jvals, witness), over i in ivals and positive j in jvals,
-    keeping only v >= floor when a floor is given."""
-    out = []
+def _thresholds(families, floor: Optional[Fraction] = None):
+    """Yield (v, witness(i, j)) for each v = (base - i)/j of the families
+    (base, ivals, jvals, witness), over i in ivals (at most base) and the
+    ascending positive j in jvals, stopping each j-scan below floor (when
+    given): as j ascends, v descends."""
     for base, ivals, jvals, witness in families:
         for i in ivals:
             num = base - i
-            if num < 0:
-                continue
             for j in jvals:
                 v = num / j
-                if floor is None or v >= floor:
-                    out.append((v, witness(i, j)))
-    return out
+                if floor is not None and v < floor:
+                    break
+                yield v, witness(i, j)
 
 
 def _collect(families, b: Optional[EnumBounds] = None, floor: Optional[Fraction] = None) -> LctSet:
@@ -274,14 +271,25 @@ def _triple_values(tr: PlatonicTriple, iplus, jplus, jcap: Fraction, tail: Optio
     (resp. J+), no limit when None: one ``sums`` call each, with slot
     weights (qr, pr, pq) and tail weight pqr.  The tails are generated by I+
     and J+, not I and J, which differ when an element exceeds 1.  i-values
-    are capped at the base qr+pr+pq-pqr, j-values at jcap.
+    are capped at the base qr+pr+pq-pqr, j-values at jcap; both ascend.
     """
     p, q, r = tr.p, tr.q, tr.r
     base, slots = tr.base, (q * r, p * r, p * q)
     ivals = sums(iplus, base, tail, slots, p * q * r)
-    jvals = sums(jplus, jcap, tail, slots, p * q * r)
-    jvals.discard(ZERO)
+    jvals = sums(jplus, jcap, tail, slots, p * q * r)[1:]
     return base, ivals, jvals, partial(Coreg1Witness, p, q, r)
+
+
+def _exact_families(I: CoeffSet, J: CoeffSet, t: Fraction, bound: int):
+    """The families of the triples up to bound, from the full I+ and J+
+    (built once) with no term-count truncation: for t > 0 every j-value
+    with (base - i)/j >= t for some i, so j <= base/t, and at t = 0 only
+    the least j-value pq*min(J+)."""
+    iexact = plus_closure_exact(I)
+    jexact = plus_closure_exact(J)
+    jmin = jexact.min_positive or ZERO
+    for tr in platonic_triples(bound):
+        yield _triple_values(tr, iexact, jexact, tr.base / t if t else tr.p * tr.q * jmin, None)
 
 
 def _bounded_families(triples, I: CoeffSet, J: CoeffSet, b: EnumBounds, extra_terms: bool):
@@ -344,17 +352,13 @@ def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> MemRes
     least j-value pq*min(J+) is the only one needed."""
     if t < 0:
         raise DomainError("thresholds are nonnegative")
-    iexact = plus_closure_exact(I)
-    jexact = plus_closure_exact(J)
-    jmin = jexact.min_positive or ZERO
-    for tr in platonic_triples(triple_bound):
+    for base, ivals, jvals, witness in _exact_families(I, J, t, triple_bound):
         # the first triple with a witness wins, and in it the least j: each
         # j in ascending order gives i = base - t*j, one lookup in ivals
-        base, ivals, jvals, witness = _triple_values(
-            tr, iexact, jexact, tr.base / t if t else tr.p * tr.q * jmin, None)
-        for j in sorted(jvals):
+        iset = set(ivals)
+        for j in jvals:
             i = base - t * j
-            if i >= 0 and i in ivals:
+            if i in iset:
                 return MemResult(True, witness(i, j), triple_bound)
     return MemResult(False, None, triple_bound)
 
@@ -467,27 +471,18 @@ def verify_acc_above(
         detail = f"exact: j <= {format_rational(1 / t)}, full I+ enumerated"
     elif c == 1:
         cutoff = triple_cutoff if triple_cutoff is not None else max(5, int(2 / t) + 1)
-        iexact = plus_closure_exact(I)
-        jexact = plus_closure_exact(J)
-        families = (_triple_values(tr, iexact, jexact, tr.base / t, None)
-                    for tr in platonic_triples(cutoff))
+        families = _exact_families(I, J, t, cutoff)
         detail = f"exact per triple; triple family cut off at max index {cutoff}"
     else:
         raise DomainError("coregularity must be 0 or 1")
     return AccWitness(_collect(families, floor=t), t, c == 0, detail)
 
 
-@dataclass(frozen=True)
-class AccumulationCandidate:
-    value: Fraction
-    family: str
-
-
 def accumulation_candidates(
     I: CoeffSet, J: CoeffSet, c: int, b: EnumBounds
-) -> tuple[list[AccumulationCandidate], list[str]]:
+) -> tuple[LctSet, list[str]]:
     """Symbolic accumulation-point candidates of the enumerated threshold
-    set, each with the parametric family that produces it.
+    set, each with the parametric family that produces it as its witness.
 
     Also reports violations of the containment hypotheses (1 in I
     and I closed under the sum operation); the detection itself runs on any
@@ -502,7 +497,7 @@ def accumulation_candidates(
     if any(a + b <= 1 and a + b not in I for a in pos for b in pos if a <= b):
         violations.append("I is not closed under sums (I != I+)")
     if J.min_positive is None:
-        return [], violations
+        return LctSet(()), violations
     if c == 0:
         pairs = [(ZERO, "(1-i)/j, j -> infinity")]
     elif c == 1:
@@ -523,13 +518,12 @@ def accumulation_candidates(
             # so only the distinct slopes matter (the j-slope cap never binds)
             top = Fraction(p + q - p * q)
             islopes = sums(iplus, top, tail, (q, p), p * q)
-            jslopes = sums(jplus, top + p * q * (tail + 1), tail, (q, p), p * q)
-            jslopes.discard(ZERO)
+            jslopes = sums(jplus, top + p * q * (tail + 1), tail, (q, p), p * q)[1:]
             families.append((top, islopes, jslopes, partial(slope_family, p, q)))
-        pairs += _thresholds(families)
+        pairs = chain(pairs, _thresholds(families))
     else:
         raise DomainError("coregularity must be 0 or 1")
-    return [AccumulationCandidate(v, family) for v, family in _least_per_value(pairs)], violations
+    return LctSet.collect(pairs), violations
 
 
 # ---------------------------------------------------------------------------

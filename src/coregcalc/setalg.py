@@ -36,12 +36,12 @@ class CoeffSet:
         for x in self.elements:
             if x < 0:
                 raise DomainError(f"negative coefficient {format_rational(x)}")
-        if list(self.elements) != sorted(set(self.elements)):
+        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
             object.__setattr__(self, "elements", tuple(sorted(set(self.elements))))
 
     @classmethod
     def of(cls, items: Iterable) -> "CoeffSet":
-        return cls(tuple(sorted({Fraction(x) for x in items})))
+        return cls(tuple(Fraction(x) for x in items))
 
     @classmethod
     def parse(cls, text: str) -> "CoeffSet":
@@ -164,7 +164,7 @@ UNIT = CoeffSet((ONE,))
 
 
 def sums(gens: Iterable[Fraction], cap: Fraction, max_terms: Optional[int] = None,
-         slots: tuple[int, ...] = (), weight: int = 1) -> set[Fraction]:
+         slots: tuple[int, ...] = (), weight: int = 1) -> tuple[Fraction, ...]:
     """0 and every s1*x1 + ... + sk*xk + weight*(y1 + ... + yn) <= cap, for
     the integer slot weights slots = (s1, ..., sk), with each x and y a
     positive element of gens or 0 and n <= max_terms (no limit when None).
@@ -175,7 +175,7 @@ def sums(gens: Iterable[Fraction], cap: Fraction, max_terms: Optional[int] = Non
     round extending only the sums the round before added, so round n reaches
     the sums whose shortest representation has n y-terms and the term bound
     cuts exactly.  Without one the search ends, as the elements are bounded
-    below.  Only the distinct sums become Fractions.
+    below.  Only the distinct sums become Fractions, in ascending order.
     """
     pos = sorted({g for g in gens if g > 0})
     D = lcm(cap.denominator, *(g.denominator for g in pos))
@@ -203,18 +203,18 @@ def sums(gens: Iterable[Fraction], cap: Fraction, max_terms: Optional[int] = Non
         seen |= nxt
         frontier = nxt
         rounds += 1
-    return {Fraction(v, D) for v in seen}
+    return tuple(Fraction(v, D) for v in sorted(seen))
 
 
 def plus_closure(I: CoeffSet, b: EnumBounds) -> CoeffSet:
     """Bounded enumeration of I+: sums of at most b.max_terms elements of I
     (with repetition) that lie in [0,1], together with 0."""
-    return CoeffSet.of(sums(I, ONE, b.max_terms))
+    return CoeffSet(sums(I, ONE, b.max_terms))
 
 
 def plus_closure_exact(I: CoeffSet) -> CoeffSet:
     """The full set I+ (exact: term count is self-bounded by 1/min(I>0))."""
-    return CoeffSet.of(sums(I, ONE))
+    return CoeffSet(sums(I, ONE))
 
 
 def in_semigroup(x: Fraction, S: CoeffSet) -> bool:
@@ -281,7 +281,7 @@ def pos_combinations(J: CoeffSet, b: EnumBounds) -> CoeffSet:
         raise DomainError("need a positive element to form positive combinations")
     if b.max_value is None:
         raise DomainError("max_value is required: the set of positive combinations is infinite")
-    return CoeffSet.of(sums(J, b.max_value, b.max_terms) - {ZERO})
+    return CoeffSet(sums(J, b.max_value, b.max_terms)[1:])
 
 
 def pos_combinations_exact(J: CoeffSet, max_value: Fraction) -> CoeffSet:
@@ -289,7 +289,7 @@ def pos_combinations_exact(J: CoeffSet, max_value: Fraction) -> CoeffSet:
     with no term-count truncation (self-bounded by max_value/min(J>0))."""
     if J.min_positive is None:
         raise DomainError("need a positive element to form positive combinations")
-    return CoeffSet.of(sums(J, max_value) - {ZERO})
+    return CoeffSet(sums(J, max_value)[1:])
 
 
 def d_set(I: CoeffSet, b: EnumBounds) -> CoeffSet:

@@ -15,20 +15,22 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coregcalc import cli, lctsets, setalg
 from coregcalc.lctsets import (
-    AccumulationCandidate,
     LctSet,
+    LctValue,
     OracleWitness,
     _denominator_filter,
+    _triple_values,
     accumulation_candidates,
     lct1_enumerate,
     lct1_weighted,
     p1_oracle,
     platonic_triples,
+    verify_acc_above,
 )
 from coregcalc.rationals import format_rational
 from coregcalc.setalg import (
@@ -116,8 +118,8 @@ def ref_accumulation_candidates(I, J, c, b):
     if J.min_positive is None:
         return []
     if c == 0:
-        return [AccumulationCandidate(ZERO, "(1-i)/j, j -> infinity")]
-    candidates = [AccumulationCandidate(ZERO, "fixed (p,q,r), j-combination -> infinity")]
+        return [LctValue(ZERO, "(1-i)/j, j -> infinity")]
+    candidates = [LctValue(ZERO, "fixed (p,q,r), j-combination -> infinity")]
     iplus = plus_closure(I, b)
     jplus = plus_closure(J, b)
     tail = max(b.max_terms - 3, 0)
@@ -136,17 +138,33 @@ def ref_accumulation_candidates(I, J, c, b):
                                 a_den = q * j1 + p * j2 + p * q * ej
                                 if a_den <= 0:
                                     continue
-                                candidates.append(AccumulationCandidate(
+                                candidates.append(LctValue(
                                     a_num / a_den,
                                     f"({p},{q},r), r -> infinity, "
                                     f"i-slope={format_rational(q * i1 + p * i2 + p * q * ei)}, "
                                     f"j-slope={format_rational(a_den)}",
                                 ))
     by_value = {}
-    for cand in sorted(candidates, key=lambda x: (x.value, x.family)):
+    for cand in sorted(candidates, key=lambda x: (x.value, x.witness)):
         if cand.value not in by_value:
             by_value[cand.value] = cand
     return [by_value[v] for v in sorted(by_value)]
+
+
+def ref_acc_above_c1(I, J, t, cutoff):
+    """The coregularity-one elements >= t: every pair (base - i)/j of the
+    exact triple families, filtered by v >= t only after all are formed.
+    Also whether the floor cuts inside some family, keeping some of its
+    pairs and dropping others."""
+    iexact, jexact = plus_closure_exact(I), plus_closure_exact(J)
+    items, cut_inside = [], False
+    for tr in platonic_triples(cutoff):
+        base, ivals, jvals, witness = _triple_values(tr, iexact, jexact, tr.base / t, None)
+        family = [((base - i) / j, witness(i, j)) for i in ivals for j in jvals]
+        kept = [(v, w) for v, w in family if v >= t]
+        items += kept
+        cut_inside = cut_inside or 0 < len(kept) < len(family)
+    return ref_collect(items), cut_inside
 
 
 def ref_hypothesis_violations(I):
@@ -277,7 +295,7 @@ def test_p1_oracle_examples(I, J, degree, b, cap_unit):
 def test_accumulation_candidates_match_nested_loops(I, J, c, terms, index):
     b = EnumBounds(terms, index)
     cands, _ = accumulation_candidates(I, J, c, b)
-    assert cands == ref_accumulation_candidates(I, J, c, b)
+    assert list(cands) == ref_accumulation_candidates(I, J, c, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,7 +311,24 @@ def test_hypothesis_violations_match_full_closure(I, c):
 
 
 # ---------------------------------------------------------------------------
-# one per-triple path
+# the acc-above floor stops each ascending j-scan
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeff_set(max_size=2),
+    coeff_set(top=F(3, 2), max_size=2),
+    st.fractions(min_value=F(1, 6), max_value=F(3, 2), max_denominator=7),
+    st.integers(1, 4),
+)
+@example(CoeffSet.parse("1/2"), CoeffSet.parse("1/2,1"), F(1, 3), 3)
+@example(CoeffSet.parse("1/3,1/2"), CoeffSet.parse("1"), F(2, 3), 4)
+def test_acc_above_c1_matches_filtering_every_pair(I, J, t, cutoff):
+    assume(t > 0)
+    want, cut_inside = ref_acc_above_c1(I, J, t, cutoff)
+    assume(cut_inside)
+    got = verify_acc_above(I, J, 1, t, cutoff).elements
+    assert [(lv.value, str(lv.witness)) for lv in got] == [(v, str(w)) for v, w in want]
 
 
 @settings(max_examples=40, deadline=None)

@@ -208,13 +208,13 @@ class TestAccAbove:
 class TestAccumulation:
     def test_zero_candidate_for_coreg_zero(self):
         cands, _ = accumulation_candidates(HALF, UNIT_J, 0, EnumBounds(4, 5))
-        assert [c.value for c in cands] == [F(0)]
-        assert "j -> infinity" in cands[0].family
+        assert cands.raw() == (F(0),)
+        assert "j -> infinity" in cands.values[0].witness
 
     def test_dihedral_family_limit_is_zero(self):
         cands, viol = accumulation_candidates(EMPTY, UNIT_J, 1, EnumBounds(4, 5))
         assert viol  # hypotheses fail for the empty set, and are reported
-        dihedral = [c for c in cands if c.family.startswith("(2,2,")]
+        dihedral = [c for c in cands if c.witness.startswith("(2,2,")]
         assert all(c.value == 0 for c in dihedral)
 
     def test_hypotheses_accepted_for_closed_set(self):

@@ -373,9 +373,9 @@ class TestWeightedValues:
         parts = {F(0), *parts}
         *slots, weight = weights
         extras = sums_up_to(parts, cap / weight, tail)
-        assert sums(parts, cap, tail, tuple(slots), weight) == weighted_values_reference(
-            weights, parts, extras, cap
-        )
+        assert sums(parts, cap, tail, tuple(slots), weight) == tuple(sorted(
+            weighted_values_reference(weights, parts, extras, cap)
+        ))
 
 
 class TestMemLct0:

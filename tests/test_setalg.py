@@ -105,13 +105,14 @@ class TestSums:
     )
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_combinations_reference(self, gens, cap, max_terms):
-        assert sums(gens, cap, max_terms) == sums_reference(gens, cap, max_terms)
+        # ascending, no duplicates, 0 first
+        assert sums(gens, cap, max_terms) == tuple(sorted(sums_reference(gens, cap, max_terms)))
 
     def test_examples(self):
-        assert sums([F(0), F(3)], F(2)) == {F(0)}  # gens zero or above the cap
-        assert sums([F(1, 2)], F(2), 0) == {F(0)}
-        assert sums([F(1, 2), F(1, 3)], F(1), 2) == {F(0), F(1, 3), F(1, 2), F(2, 3), F(5, 6), F(1)}
-        assert sums(cs("1/4"), F(1)) == {F(k, 4) for k in range(5)}
+        assert sums([F(0), F(3)], F(2)) == (F(0),)  # gens zero or above the cap
+        assert sums([F(1, 2)], F(2), 0) == (F(0),)
+        assert sums([F(1, 2), F(1, 3)], F(1), 2) == (F(0), F(1, 3), F(1, 2), F(2, 3), F(5, 6), F(1))
+        assert sums(cs("1/4"), F(1)) == tuple(F(k, 4) for k in range(5))
 
 
 class TestPosCombinations:
