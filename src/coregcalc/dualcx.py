@@ -54,15 +54,25 @@ class StratifiedBoundary:
                 raise DomainError(
                     f"stratum {sorted(subset)} is larger than the ambient dimension"
                 )
-        # downward closure: a nonempty intersection forces all sub-intersections
+        # downward closure: a nonempty intersection forces all sub-intersections.
+        # A sub-intersection with several components under a nonempty one is
+        # ambiguous: the counts do not say which components the latter lies on.
         for subset, count in counts.items():
             if count >= 1:
                 for i in subset:
                     sub = subset - {i}
-                    if sub and counts.get(sub, 0) < 1:
+                    below = counts.get(sub, 0)
+                    if sub and below < 1:
                         raise DomainError(
                             f"downward closure fails: {sorted(subset)} is nonempty "
                             f"but {sorted(sub)} is empty"
+                        )
+                    if below > 1:
+                        lower, upper = (",".join(self.divisors[k] for k in sorted(s))
+                                        for s in (sub, subset))
+                        raise DomainError(
+                            f"ambiguous incidence: stratum {lower} has {below} components "
+                            f"under the nonempty stratum {upper}"
                         )
         object.__setattr__(self, "strata", counts)
 

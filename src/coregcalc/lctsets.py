@@ -71,12 +71,8 @@ class Coreg1Witness:
     i: Fraction
     j: Fraction
 
-    def base(self) -> Fraction:
-        p, q, r = self.p, self.q, self.r
-        return Fraction(q * r + p * r + p * q - p * q * r)
-
     def value(self) -> Fraction:
-        return (self.base() - self.i) / self.j
+        return (PlatonicTriple(self.p, self.q, self.r).base - self.i) / self.j
 
     def __str__(self):
         return (
@@ -239,10 +235,12 @@ class PlatonicTriple:
     r: int
 
     def __post_init__(self):
-        if not (1 <= self.p <= self.q <= self.r):
+        p, q, r = self.p, self.q, self.r
+        if not (1 <= p <= q <= r):
             raise DomainError("need 1 <= p <= q <= r")
-        if Fraction(1, self.p) + Fraction(1, self.q) + Fraction(1, self.r) <= 1:
-            raise DomainError(f"1/{self.p}+1/{self.q}+1/{self.r} is not > 1")
+        # 1/p + 1/q + 1/r > 1, multiplied by pqr > 0
+        if q * r + p * r + p * q <= p * q * r:
+            raise DomainError(f"1/{p}+1/{q}+1/{r} is not > 1")
 
     @property
     def base(self) -> Fraction:
@@ -251,14 +249,15 @@ class PlatonicTriple:
 
 
 def platonic_triples(bound: int) -> list[PlatonicTriple]:
-    """All p <= q <= r <= bound with 1/p + 1/q + 1/r > 1 (exact check)."""
+    """All p <= q <= r <= bound with 1/p + 1/q + 1/r > 1, tested in
+    integers as qr + pr + pq > pqr."""
     if bound < 1:
         raise DomainError("bound must be >= 1")
     out = []
     for p in range(1, bound + 1):
         for q in range(p, bound + 1):
             for r in range(q, bound + 1):
-                if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1:
+                if q * r + p * r + p * q > p * q * r:
                     out.append(PlatonicTriple(p, q, r))
     return out
 

@@ -156,6 +156,17 @@ class TestFileCommands:
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr == "error: line 3: divisor index out of range in stratum 0,1: there are 2 divisors\n"
 
+    def test_dualcx_ambiguous_incidence_exits_two(self, tmp_path):
+        # it printed `reg 2, coreg 0`, but if the second E1 n E2 curve
+        # misses E3 the answer is `reg 1, coreg 1`
+        f = tmp_path / "strat.txt"
+        f.write_text("dim 3\ndivisors 3\nstratum 1,2 2\nstratum 1,3 1\n"
+                     "stratum 2,3 1\nstratum 1,2,3 1\n")
+        r = run("dualcx", str(f))
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == ("error: ambiguous incidence: stratum E1,E2 has 2 components "
+                            "under the nonempty stratum E1,E2,E3\n")
+
     def test_dualcx_non_integer_field_exits_two(self, tmp_path):
         f = tmp_path / "strat.txt"
         f.write_text("dim 3\ndivisors 2\nstratum 1,,2 1\n")

@@ -40,6 +40,22 @@ class TestConstruction:
         with pytest.raises(DomainError):
             sb(2, 2, {(0, 5): 1})
 
+    @pytest.mark.parametrize("dim,strata,message", [
+        # whether the second E0 n E1 curve meets E2 decides reg 2 or reg 1
+        (3, {(0, 1): 2, (0, 2): 1, (1, 2): 1, (0, 1, 2): 1},
+         "ambiguous incidence: stratum E0,E1 has 2 components under the nonempty stratum E0,E1,E2"),
+        (3, {(0, 1): 1, (0, 2): 1, (1, 2): 3, (0, 1, 2): 2},
+         "ambiguous incidence: stratum E1,E2 has 3 components under the nonempty stratum E0,E1,E2"),
+    ])
+    def test_ambiguous_incidence_rejected(self, dim, strata, message):
+        with pytest.raises(DomainError) as exc:
+            sb(dim, 3, strata)
+        assert str(exc.value) == message
+
+    def test_several_components_under_an_empty_stratum_are_accepted(self):
+        boundary = sb(3, 3, {(0, 1): 2, (0, 2): 1, (1, 2): 1, (0, 1, 2): 0})
+        assert regularity_coregularity(boundary) == (1, 1)
+
 
 class TestDimension:
     def test_empty_complex(self):
