@@ -31,6 +31,21 @@ small_rationals = st.fractions(min_value=0, max_value=1, max_denominator=6)
 small_sets = st.lists(small_rationals, min_size=0, max_size=3).map(CoeffSet.of)
 
 
+class TestCoeffSet:
+    @given(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_elements_ascend_without_duplicates(self, xs):
+        # the constructor sorts only when its one pass finds a pair out of
+        # order; a duplicate counts as out of order, ascending input too
+        want = tuple(sorted(set(xs)))
+        assert CoeffSet.of(xs).elements == want
+        assert CoeffSet(tuple(sorted(xs))).elements == want
+
+    def test_negative_rejected(self):
+        with pytest.raises(DomainError, match="negative coefficient -1/2"):
+            CoeffSet.of([F(1, 3), F(-1, 2)])
+
+
 class TestPlusClosure:
     def test_single_generator(self):
         assert plus_closure(cs("1/2"), EnumBounds(4, 6)).elements == (F(0), F(1, 2), F(1))
