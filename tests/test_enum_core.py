@@ -2,8 +2,9 @@
 
 The references are the straightforward versions the core replaced: a dedup
 that sorts every (value, witness) pair by (value, str(witness)), a P^1 oracle
-whose depth-first search sums Fractions, and accumulation candidates built
-from every 6-tuple of slot values.  The core must agree with them value for
+whose depth-first search sums Fractions, accumulation candidates built
+from every 6-tuple of slot values, and an acc-above that forms every pair
+before it filters them.  The core must agree with them value for
 value and witness for witness.
 """
 
@@ -324,7 +325,6 @@ def test_hypothesis_violations_match_full_closure(I, c):
 @example(CoeffSet.parse("1/2"), CoeffSet.parse("1/2,1"), F(1, 3), 3)
 @example(CoeffSet.parse("1/3,1/2"), CoeffSet.parse("1"), F(2, 3), 4)
 def test_acc_above_c1_matches_filtering_every_pair(I, J, t, cutoff):
-    assume(t > 0)
     want, cut_inside = ref_acc_above_c1(I, J, t, cutoff)
     assume(cut_inside)
     got = verify_acc_above(I, J, 1, t, cutoff).elements

@@ -33,7 +33,7 @@ small_sets = st.lists(small_rationals, min_size=0, max_size=3).map(CoeffSet.of)
 
 class TestCoeffSet:
     @given(st.lists(st.fractions(min_value=0, max_value=2, max_denominator=4), max_size=6))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_elements_ascend_without_duplicates(self, xs):
         # the constructor sorts only when its one pass finds a pair out of
         # order; a duplicate counts as out of order, ascending input too
