@@ -1,12 +1,17 @@
+import contextlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import coregcalc
+from coregcalc import cli, toric
 
 CMD = [sys.executable, "-m", "coregcalc.cli"]
 # The child imports the package this process imported, also when pytest
@@ -22,6 +27,15 @@ def run(*args, env_extra=None, timeout=None):
     return subprocess.run(
         CMD + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def run_in_process(*args):
+    """(exit code, stdout, stderr) of `cli.main` run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "argv", ["coregcalc", *args]), pytest.raises(SystemExit) as exc:
+        cli.main()
+    return exc.value.code, out.getvalue(), err.getvalue()
 
 
 class TestSetCommands:
@@ -188,6 +202,14 @@ class TestFileCommands:
         r = run("toric-lct", str(f), "--oracle", "8")
         assert r.returncode == 0
         assert r.stdout == "1/2\noracle 1/2 (agrees)\n"
+
+    @pytest.mark.parametrize("oracle,shown", [(F(1, 3), "1/3"), (None, "infinity")])
+    def test_toric_lct_oracle_mismatch_exits_two(self, tmp_path, oracle, shown):
+        f = tmp_path / "cone.txt"
+        f.write_text("dim 2\n1 0\n1 2\nb: 0 1/2\nc: 1 1\n")
+        with mock.patch.object(toric, "toric_lct_oracle", return_value=oracle):
+            code, out, _ = run_in_process("toric-lct", str(f), "--oracle", "8")
+        assert (code, out) == (2, f"1/2\noracle {shown} (MISMATCH)\n")
 
     @pytest.mark.parametrize(
         "text",

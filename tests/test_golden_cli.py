@@ -82,11 +82,16 @@ CASES = [
     ("bounds-unknown-key", ["plus", "--I", "1/2", "--bounds", "depth=3"], None),
     ("mem-lct1-small-t", ["mem", "lct1", "3/1000", "--I", "5/9,7/11", "--J", "1,1/2", "--triple-bound", "4"], None),
     ("plus-large-denominator", ["plus", "--I", "2/997,3/7", "--bounds", "terms=12"], None),
+    ("help", ["--help"], None),
+    *((f"help-{cmd}", [cmd, "--help"], None) for cmd in (
+        "plus", "dset", "ddset", "mem", "lct0", "lct1", "p1-oracle", "acc-above",
+        "accum", "dualcx", "toric-lct", "lemma-check")),
 ]
 
 
 def invoke(argv, file_text):
-    """(exit code, stdout) of one CLI invocation, stderr discarded."""
+    """(exit code, stdout) of one CLI invocation, stderr discarded; argparse
+    wraps `--help` at the terminal width, so COLUMNS is fixed at 80."""
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if file_text is not None:
@@ -95,7 +100,8 @@ def invoke(argv, file_text):
                 fh.write(file_text)
             argv = [path if a == FILE else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
-                mock.patch.object(sys, "argv", ["coregcalc", *argv]):
+                mock.patch.object(sys, "argv", ["coregcalc", *argv]), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             try:
                 cli.main()
             except SystemExit as exc:
