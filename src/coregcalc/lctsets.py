@@ -213,15 +213,15 @@ def lct0_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds) -> LctSet:
     return _collect([(ONE, plus_closure(I, b), pos_combinations(J, b), Coreg0Witness)], b)
 
 
-def mem_lct0(t: Fraction, I: CoeffSet, J: CoeffSet) -> tuple[bool, Optional[Coreg0Witness]]:
+def mem_lct0(t: Fraction, I: CoeffSet, J: CoeffSet) -> Optional[Coreg0Witness]:
     """Exact membership in the full coregularity-zero set: t = (1-i)/j
     exactly when 1 = i + t*j splits with i in I+ and j a positive
-    combination of J, and the witness has the least such j (at t = 0, the
-    least element of J)."""
+    combination of J.  Returns the witness with the least such j (at t = 0,
+    the least element of J), or None when t is not a member."""
     if t < 0:
         raise DomainError("thresholds are nonnegative")
     ij = split(ONE, I, t, J)
-    return ij is not None, Coreg0Witness(*ij) if ij else None
+    return Coreg0Witness(*ij) if ij else None
 
 
 # ---------------------------------------------------------------------------
@@ -329,26 +329,14 @@ def lct1_enumerate(I: CoeffSet, J: CoeffSet, b: EnumBounds, extra_terms: bool = 
     return _collect(_bounded_families(platonic_triples(b.max_index), I, J, b, extra_terms), b)
 
 
-@dataclass(frozen=True)
-class MemResult:
-    """Tri-state membership verdict: found with witness, or not found within
-    the triple bound (the (1,q,r) family is unbounded, so absence within the
-    bound is not a proof of non-membership)."""
-
-    found: bool
-    witness: Optional[Witness]
-    triple_bound: int
-
-    @property
-    def status(self) -> str:
-        return "found" if self.found else "not-found-within-bound"
-
-
-def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> MemResult:
-    """Per-triple exact search: for t > 0 the j-combination is bounded by
-    base/t, and the i-combination by base; both are enumerated completely
-    (tail terms included, with no term-count truncation).  For t = 0 the
-    least j-value pq*min(J+) is the only one needed."""
+def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> Optional[Coreg1Witness]:
+    """Per-triple exact search over the triples up to triple_bound: for t > 0
+    the j-combination is bounded by base/t, and the i-combination by base;
+    both are enumerated completely (tail terms included, with no term-count
+    truncation).  For t = 0 the least j-value pq*min(J+) is the only one
+    needed.  Returns the witness of the first triple that has one, or None.
+    None is no proof of non-membership: the (1,q,r) family is unbounded, and
+    t may lie in a triple beyond the bound."""
     if t < 0:
         raise DomainError("thresholds are nonnegative")
     for base, ivals, jvals, witness in _exact_families(I, J, t, triple_bound):
@@ -358,8 +346,8 @@ def mem_lct1(t: Fraction, I: CoeffSet, J: CoeffSet, triple_bound: int) -> MemRes
         for j in jvals:
             i = base - t * j
             if i in iset:
-                return MemResult(True, witness(i, j), triple_bound)
-    return MemResult(False, None, triple_bound)
+                return witness(i, j)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +430,6 @@ class AccWitness:
     exact (coregularity 0) or sound-up-to-cutoff (coregularity 1)."""
 
     elements: LctSet
-    threshold: Fraction
     complete: bool
     detail: str
 
@@ -474,7 +461,7 @@ def verify_acc_above(
         detail = f"exact per triple; triple family cut off at max index {cutoff}"
     else:
         raise DomainError("coregularity must be 0 or 1")
-    return AccWitness(_collect(families, floor=t), t, c == 0, detail)
+    return AccWitness(_collect(families, floor=t), c == 0, detail)
 
 
 def accumulation_candidates(

@@ -113,12 +113,12 @@ def mem_lct0_reference(t, I, J):
     the test is 1 in I+, with the least element of J as the witness j."""
     jmin = J.min_positive
     if t == 0:
-        return (True, Coreg0Witness(F(1), jmin)) if knapsack_member(F(1), I) else (False, None)
+        return Coreg0Witness(F(1), jmin) if knapsack_member(F(1), I) else None
     for j in sorted(sums_up_to(J.positive(), 1 / t) - {0}):
         i = 1 - t * j
         if 0 <= i <= 1 and knapsack_member(i, I):
-            return True, Coreg0Witness(i, j)
-    return False, None
+            return Coreg0Witness(i, j)
+    return None
 
 
 def mem_lct1_reference(t, I, J, triple_bound):
@@ -135,14 +135,14 @@ def mem_lct1_reference(t, I, J, triple_bound):
             jpos = [j for j in jplus if j > 0]
             if base in ivals and jpos:
                 jw = min(w * min(jpos) for w in weights[:3])
-                return True, Coreg1Witness(tr.p, tr.q, tr.r, base, jw)
+                return Coreg1Witness(tr.p, tr.q, tr.r, base, jw)
             continue
         jcap = base / t
         jvals = weighted_values_reference(weights, jplus, sums_up_to(jplus, jcap / pqr), jcap)
         for j in sorted(jvals - {0}):
             if base - t * j in ivals:
-                return True, Coreg1Witness(tr.p, tr.q, tr.r, base - t * j, j)
-    return False, None
+                return Coreg1Witness(tr.p, tr.q, tr.r, base - t * j, j)
+    return None
 
 
 def split_reference(rest, I, d, J):
@@ -257,7 +257,7 @@ class TestInSemigroup:
         # below twice the smallest generator a sum is 0 or one element; the
         # table of J would have 999,983 entries
         I, J = CoeffSet.parse("1/2"), CoeffSet.parse("999983/1000000,1")
-        assert mem_lct0(F(1, 2), I, J) == (True, Coreg0Witness(F(1, 2), F(1)))
+        assert mem_lct0(F(1, 2), I, J) == Coreg0Witness(F(1, 2), F(1))
         assert in_semigroup(F(999983, 1000000), J) and in_semigroup(F(1), J)
         assert not in_semigroup(F(1999965, 1000000), J)
         assert "apery" not in vars(I) and "apery" not in vars(J)
@@ -395,9 +395,9 @@ class TestMemLct0:
     @example(CoeffSet.parse("1/6"), CoeffSet.parse("5/2"), F(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_verdict_and_witness_agree_with_reference(self, I, J, t):
-        ok, w = mem_lct0(t, I, J)
-        assert (ok, w) == mem_lct0_reference(t, I, J)
-        if ok:
+        w = mem_lct0(t, I, J)
+        assert w == mem_lct0_reference(t, I, J)
+        if w is not None:
             assert w.value() == t
 
 
@@ -414,21 +414,20 @@ class TestMemLct1:
     @example(CoeffSet.parse("1/3"), CoeffSet.parse("3/2,1/3"), F(0), 3)
     @settings(max_examples=50, deadline=None)
     def test_verdict_and_witness_agree_with_reference(self, I, J, t, bound):
-        res = mem_lct1(t, I, J, bound)
-        assert (res.found, res.witness) == mem_lct1_reference(t, I, J, bound)
-        if res.found:
-            assert res.witness.value() == t
+        w = mem_lct1(t, I, J, bound)
+        assert w == mem_lct1_reference(t, I, J, bound)
+        if w is not None:
+            assert w.value() == t
 
     def test_tail_is_generated_by_j_plus(self):
         # J+ = {0, 1}: 3/2 exceeds 1, so no j uses it, even in the tail.
         # A tail over J would give t = 2/3 the witness j = 3/2 at (1,1,1).
         I, J = CoeffSet.parse("1"), CoeffSet.parse("1,3/2")
-        res = mem_lct1(F(2, 3), I, J, 3)
-        assert str(res.witness) == "c1(p=1,q=1,r=1,i=0,j=3)"
+        assert str(mem_lct1(F(2, 3), I, J, 3)) == "c1(p=1,q=1,r=1,i=0,j=3)"
         for t in (F(4, 9), F(1, 3), F(2, 9)):
-            res = mem_lct1(t, I, J, 3)
-            assert (res.found, res.witness) == mem_lct1_reference(t, I, J, 3)
-            assert not res.found or res.witness.j.denominator == 1
+            w = mem_lct1(t, I, J, 3)
+            assert w == mem_lct1_reference(t, I, J, 3)
+            assert w is None or w.j.denominator == 1
 
 
 # ---------------------------------------------------------------------------
