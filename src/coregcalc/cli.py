@@ -23,12 +23,6 @@ from .setalg import CoeffSet, DomainError, EnumBounds
 DEFAULT_TERMS = 12
 
 
-def _parse_set(text):
-    if text is None:
-        return CoeffSet.of([])
-    return CoeffSet.parse(text)
-
-
 _BOUND_KEYS = {"terms": int, "index": int, "value": parse_rational, "denom": int}
 
 
@@ -200,7 +194,7 @@ def build_parser():
         p.set_defaults(run=handler)
         for s in sets:
             default = " (default: empty)" if s == "I" else ""
-            p.add_argument(f"--{s}", metavar="SET",
+            p.add_argument(f"--{s}", metavar="SET", default="",
                            help=f"comma-separated generators of {s}{default}")
         if sets:
             p.add_argument(
@@ -315,9 +309,9 @@ def build_parser():
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    I = _parse_set(getattr(args, "I", None))
+    I = CoeffSet.parse(getattr(args, "I", ""))
     b = _parse_bounds(getattr(args, "bounds", None))
-    J = _parse_set(getattr(args, "J", None))
+    J = CoeffSet.parse(getattr(args, "J", ""))
     return args.run(args, I, J, b, sys.stdout)
 
 
