@@ -96,12 +96,14 @@ def _ddset(args, I, J, b, out):
 
 def _mem(args, I, J, b, out):
     a = parse_rational(args.value)
+    if args.target == "ddset":
+        return _verdict(setalg.mem_d_d_set(a, I, _shift(args, "the ddset target")), out)
+    if args.d is not None:
+        raise DomainError("--d applies only to the ddset target")
     if args.target == "plus":
         return _verdict(setalg.mem_plus_closure(a, I), out)
     if args.target == "dset":
         return _verdict(setalg.mem_d_set(a, I), out)
-    if args.target == "ddset":
-        return _verdict(setalg.mem_d_d_set(a, I, _shift(args, "the ddset target")), out)
     if args.target == "lct0":
         w = lctsets.mem_lct0(a, I, J)
         return _verdict(w is not None, out, f" {w}")
@@ -167,10 +169,12 @@ def _toric_lct(args, I, J, b, out):
 
 
 def _lemma_check(args, I, J, b, out):
-    if args.lemma == "ddi":
-        ok, bad = setalg.check_ddi_lemma(I, b)
-    else:
+    if args.lemma == "dd-monotone":
         ok, bad = setalg.check_dd_monotone(I, _shift(args, "dd-monotone"), b)
+    elif args.d is not None:
+        raise DomainError("--d applies only to dd-monotone")
+    else:
+        ok, bad = setalg.check_ddi_lemma(I, b)
     code = _verdict(ok, out)
     for item in bad:
         out.write(f"counterexample: {item}\n")

@@ -89,6 +89,12 @@ class TestMembership:
         assert r.returncode == 2
         assert r.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("target", ["plus", "dset", "lct0", "lct1"])
+    def test_shift_outside_ddset_exits_two(self, target):
+        # `mem dset 7/8 --I 1/2 --d 1/4` answered for D(I) and exited 0
+        code, out, err = run_in_process("mem", target, "7/8", "--I", "1/2", "--J", "1", "--d", "1/4")
+        assert (code, out, err) == (2, "", "error: --d applies only to the ddset target\n")
+
     def test_ddset_shift_above_one_exits_two(self):
         r = run("mem", "ddset", "1/2", "--I", "1/2", "--d", "3/2")
         assert r.returncode == 2 and r.stdout == ""
@@ -243,6 +249,10 @@ class TestLemmaChecks:
         r = run("lemma-check", "dd-monotone", "--I", "0", "--d", "1/2",
                 "--bounds", "terms=4,index=3")
         assert r.returncode == 0 and r.stdout == "true\n"
+
+    def test_ddi_refuses_shift(self):
+        code, out, err = run_in_process("lemma-check", "ddi", "--I", "1/2", "--d", "1/4")
+        assert (code, out, err) == (2, "", "error: --d applies only to dd-monotone\n")
 
     def test_dd_monotone_needs_shift(self):
         r = run("lemma-check", "dd-monotone", "--I", "0")
