@@ -263,7 +263,8 @@ def build_parser():
 
     p = command(
         "acc-above", _acc_above,
-        "ascending-chain witness: all threshold-set elements >= t, exactly", "IJ",
+        "ascending-chain witness: the threshold-set elements >= t; all of them "
+        "for c=0, those of the triples up to the cutoff for c=1", "IJ",
     )
     p.add_argument("--c", type=int, choices=[0, 1], required=True)
     p.add_argument("--t", required=True, help="lower cutoff, must be > 0")

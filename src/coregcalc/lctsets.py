@@ -426,8 +426,8 @@ def p1_oracle(
 
 @dataclass(frozen=True)
 class AccWitness:
-    """All full-set elements >= t, with the bounds that make the claim
-    exact (coregularity 0) or sound-up-to-cutoff (coregularity 1)."""
+    """Threshold-set elements >= t: all of them when complete (coregularity
+    0), else those of the triples up to the cutoff that detail records."""
 
     elements: LctSet
     complete: bool
@@ -442,11 +442,13 @@ def verify_acc_above(
     triple_cutoff: Optional[int] = None,
 ) -> AccWitness:
     """Constructively witness the ascending chain condition above t: return
-    every element of the untruncated threshold set that is >= t.
+    the elements >= t of the threshold set, all of them for c = 0.
 
     c = 0 is exact: (1-i)/j >= t forces j <= 1/t, and the full I+ is finite.
-    c = 1 is exact per triple but the unbounded (1,q,r) and (2,2,r) families
-    are cut off; the cutoff is recorded.
+    c = 1 is exact per triple, but only the triples up to the cutoff are
+    listed, and the cutoff is recorded.  The list need not be the whole set
+    above t, which can be infinite: for I = {}, J = {1} and t = 1/2,
+    cutoffs 5, 10 and 20 list 32, 84 and 296 values.
     """
     if t <= 0:
         raise DomainError("need t > 0: the full sets accumulate at 0")
