@@ -5,9 +5,13 @@ per line, sorted ascending, with ``--witness`` appending a provenance record
 per value.  Exit codes: 0 success, 1 membership-false / not-found-within-
 bound, 2 usage or domain error.
 
-The parser is the command table: ``build_parser`` declares each subcommand
-with its arguments and binds its handler there with ``set_defaults(run=...)``.
-``run`` parses argv, builds I, J and the bounds, and calls that handler.
+The parser is the command table: ``build_parser`` declares what each
+subcommand reads (its sets, its bound keys and, where a mode argument such as
+``mem``'s target decides, the options of each mode) and binds its handler with
+``set_defaults(run=...)``.  Parsing, refusal and ``--help`` all follow from
+that declaration: ``run`` parses argv, refuses every bound key and option the
+command would not read (exit 2), builds I, J and the bounds, and calls the
+handler.
 """
 
 import argparse
@@ -23,11 +27,20 @@ from .setalg import CoeffSet, DomainError, EnumBounds
 DEFAULT_TERMS = 12
 
 
-_BOUND_KEYS = {"terms": int, "index": int, "value": parse_rational, "denom": int}
+# key: (parser of its value, its part of the --help text)
+_BOUND_KEYS = {
+    "terms": (int, f"terms=T caps the summands (default {DEFAULT_TERMS}; the library's "
+              "EnumBounds defaults to 4)"),
+    "index": (int, "index=M caps the integer indices (default 6)"),
+    "value": (parse_rational, "value=V caps the sums of J; an integer V doubles as the "
+              "denominator cap unless denom= is given"),
+    "denom": (int, "denom=D keeps the values of reduced denominator at most D"),
+}
 
 
-def _parse_bounds(text):
-    """EnumBounds from `key=value,...`; each key at most once."""
+def _parse_bounds(text, keys):
+    """EnumBounds from `key=value,...`; each key at most once, and only the
+    `keys` the command reads."""
     given = {}
     for item in text.split(",") if text else ():
         key, _, raw = item.partition("=")
@@ -36,9 +49,12 @@ def _parse_bounds(text):
             raise DomainError(f"malformed bounds item {item!r}")
         if key not in _BOUND_KEYS:
             raise DomainError(f"unknown bounds key {key!r}")
+        if key not in keys:
+            raise DomainError(f"this command does not read bounds key {key!r} "
+                              f"(it reads {', '.join(keys)})")
         if key in given:
             raise DomainError(f"repeated bounds key {key!r}")
-        given[key] = _BOUND_KEYS[key](raw)
+        given[key] = _BOUND_KEYS[key][0](raw)
     return EnumBounds(given.get("terms", DEFAULT_TERMS), given.get("index", 6),
                       given.get("value"), given.get("denom"))
 
@@ -98,8 +114,6 @@ def _mem(args, I, J, b, out):
     a = parse_rational(args.value)
     if args.target == "ddset":
         return _verdict(setalg.mem_d_d_set(a, I, _shift(args, "the ddset target")), out)
-    if args.d is not None:
-        raise DomainError("--d applies only to the ddset target")
     if args.target == "plus":
         return _verdict(setalg.mem_plus_closure(a, I), out)
     if args.target == "dset":
@@ -107,9 +121,10 @@ def _mem(args, I, J, b, out):
     if args.target == "lct0":
         w = lctsets.mem_lct0(a, I, J)
         return _verdict(w is not None, out, f" {w}")
-    w = lctsets.mem_lct1(a, I, J, args.triple_bound)
+    bound = 5 if args.triple_bound is None else args.triple_bound
+    w = lctsets.mem_lct1(a, I, J, bound)
     if w is None:
-        out.write(f"not-found-within-bound (triples searched up to {args.triple_bound})\n")
+        out.write(f"not-found-within-bound (triples searched up to {bound})\n")
         return 1
     return _verdict(True, out, f" {w}")
 
@@ -171,8 +186,6 @@ def _toric_lct(args, I, J, b, out):
 def _lemma_check(args, I, J, b, out):
     if args.lemma == "dd-monotone":
         ok, bad = setalg.check_dd_monotone(I, _shift(args, "dd-monotone"), b)
-    elif args.d is not None:
-        raise DomainError("--d applies only to dd-monotone")
     else:
         ok, bad = setalg.check_ddi_lemma(I, b)
     code = _verdict(ok, out)
@@ -191,48 +204,68 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, sets=""):
-        """The subcommand `name`, run by `handler`, with an option --X for
-        each set X in `sets` and, when it takes sets, --bounds."""
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(run=handler)
+    def command(name, handler, help, sets="", keys=(), modes=None):
+        """The subcommand `name`, run by `handler`, that reads the sets in
+        `sets`, each as an option --X, and the bound `keys`, through --bounds
+        when there are any.  `modes` is (dest, phrase, reads) when the
+        argument `dest` picks a mode: `reads` maps each mode to the options
+        it reads, and `run` refuses the others, naming the modes that read
+        them with `phrase`."""
+        p = sub.add_parser(name, help=help, description=help)
+        unread = None
+        if modes:
+            dest, phrase, reads = modes
+            # in the order of first mention: the first refused is the one named
+            options = dict.fromkeys(o for opts in reads.values() for o in opts)
+            for o in options:
+                readers = " or ".join(str(m) for m, opts in reads.items() if o in opts)
+                options[o] = f"--{o.replace('_', '-')} applies only to {phrase.format(readers)}"
+            unread = dest, {m: [(o, said) for o, said in options.items() if o not in opts]
+                            for m, opts in reads.items()}
+        p.set_defaults(run=handler, keys=keys, unread=unread)
         for s in sets:
             default = " (default: empty)" if s == "I" else ""
-            p.add_argument(f"--{s}", metavar="SET", default="",
+            p.add_argument(f"--{s}", metavar="SET",
                            help=f"comma-separated generators of {s}{default}")
-        if sets:
+        if keys:
             p.add_argument(
                 "--bounds",
                 metavar="KEY=V,...",
-                help="enumeration bounds: terms=T,index=M,value=V,denom=D; the command "
-                f"line defaults to terms={DEFAULT_TERMS},index=6 (the library's EnumBounds "
-                "defaults to terms=4)",
+                help="enumeration bounds, each key at most once: "
+                + "; ".join(_BOUND_KEYS[k][1] for k in keys),
             )
         return p
 
-    command("plus", _plus, "the sum closure I+ = {0} u {sums of I in [0,1]}", "I")
+    command("plus", _plus, "the sum closure I+ = {0} u {sums of I in [0,1]}", "I", ("terms",))
 
-    command("dset", _dset, "the derived set D(I) = {(m-1+f)/m <= 1 : f in I+}", "I")
+    command("dset", _dset, "the derived set D(I) = {(m-1+f)/m <= 1 : f in I+}", "I",
+            ("terms", "index"))
 
     p = command(
         "ddset", _ddset,
         "the shifted derived set D_d(I) = {(m-1+f+k*d)/m <= 1 : f in I+}", "I",
+        ("terms", "index"),
     )
     p.add_argument("--d", required=True, help="the shift d in (0,1]")
 
+    mem_reads = {"plus": (), "dset": (), "ddset": ("d",), "lct0": ("J",),
+                 "lct1": ("J", "triple_bound")}
     p = command(
         "mem", _mem,
         "exact membership decision in I+, D(I), D_d(I), LCT0(I,J), or LCT1(I,J)", "IJ",
+        modes=("target", "the {} target", mem_reads),
     )
-    p.add_argument("target", choices=["plus", "dset", "ddset", "lct0", "lct1"])
+    p.add_argument("target", choices=list(mem_reads),
+                   help="the set to decide: I+, D(I), D_d(I), LCT0(I,J) or LCT1(I,J)")
     p.add_argument("value", help="the rational to test")
     p.add_argument("--d", help="shift for the ddset target")
-    p.add_argument("--triple-bound", type=int, default=5, help="triple search bound for lct1")
+    p.add_argument("--triple-bound", type=int,
+                   help="triple search bound for the lct1 target (default: 5)")
 
     p = command(
         "lct0", _lct0,
         "the coregularity-zero threshold set {(1-i)/j : i in I+, "
-        "j a positive combination of J}", "IJ",
+        "j a positive combination of J}", "IJ", ("terms", "value", "denom"),
     )
     p.add_argument("--witness", action="store_true", help="append provenance per value")
 
@@ -240,8 +273,9 @@ def build_parser():
         "lct1", _lct1,
         "the coregularity-one threshold set: union over 1/p+1/q+1/r > 1 of "
         "{(qr+pr+pq-pqr-i)/j} with weighted i,j-combinations", "IJ",
+        ("terms", "index", "denom"),
     )
-    p.add_argument("--witness", action="store_true")
+    p.add_argument("--witness", action="store_true", help="append provenance per value")
     p.add_argument(
         "--three-term",
         action="store_true",
@@ -251,10 +285,10 @@ def build_parser():
     p = command(
         "p1-oracle", _p1_oracle,
         "independent oracle: solve sum_k (N_k-1+i_k+t*j_k)/N_k = degree "
-        "on the projective line for t", "IJ",
+        "on the projective line for t", "IJ", ("terms", "index", "denom"),
     )
     p.add_argument("--degree", type=int, choices=[1, 2], required=True)
-    p.add_argument("--witness", action="store_true")
+    p.add_argument("--witness", action="store_true", help="append provenance per value")
     p.add_argument(
         "--no-cap-unit",
         action="store_true",
@@ -265,18 +299,23 @@ def build_parser():
         "acc-above", _acc_above,
         "ascending-chain witness: the threshold-set elements >= t; all of them "
         "for c=0, those of the triples up to the cutoff for c=1", "IJ",
+        modes=("c", "--c {}", {0: (), 1: ("triple_cutoff",)}),
     )
-    p.add_argument("--c", type=int, choices=[0, 1], required=True)
+    p.add_argument("--c", type=int, choices=[0, 1], required=True,
+                   help="the coregularity of the threshold set")
     p.add_argument("--t", required=True, help="lower cutoff, must be > 0")
-    p.add_argument("--triple-cutoff", type=int, help="triple family cutoff for c=1")
-    p.add_argument("--witness", action="store_true")
+    p.add_argument("--triple-cutoff", type=int,
+                   help="triple family cutoff for c=1 (default: max(5, floor(2/t)+1))")
+    p.add_argument("--witness", action="store_true", help="append provenance per value")
 
     p = command(
         "accum", _accum,
         "symbolic accumulation-point candidates of the threshold set, "
-        "with their parametric families", "IJ",
+        "with their parametric families", "IJ", ("terms", "index"),
+        modes=("c", "--c {}", {0: (), 1: ("bounds",)}),
     )
-    p.add_argument("--c", type=int, choices=[0, 1], required=True)
+    p.add_argument("--c", type=int, choices=[0, 1], required=True,
+                   help="the coregularity of the threshold set")
 
     p = command(
         "dualcx", _dualcx,
@@ -304,7 +343,8 @@ def build_parser():
     p = command(
         "lemma-check", _lemma_check,
         "verify D(D(I)) = D(I) u {1}, or that d1 in D_d(I) implies "
-        "D_d1(I) is contained in D_d(I)", "I",
+        "D_d1(I) is contained in D_d(I)", "I", ("terms", "index"),
+        modes=("lemma", "{}", {"ddi": (), "dd-monotone": ("d",)}),
     )
     p.add_argument("lemma", choices=["ddi", "dd-monotone"])
     p.add_argument("--d", help="shift for dd-monotone")
@@ -314,9 +354,14 @@ def build_parser():
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    I = CoeffSet.parse(getattr(args, "I", ""))
-    b = _parse_bounds(getattr(args, "bounds", None))
-    J = CoeffSet.parse(getattr(args, "J", ""))
+    if args.unread:
+        dest, unread = args.unread
+        for option, message in unread[getattr(args, dest)]:
+            if getattr(args, option) is not None:
+                raise DomainError(message)
+    I = CoeffSet.parse(getattr(args, "I", None) or "")
+    b = _parse_bounds(getattr(args, "bounds", None), args.keys)
+    J = CoeffSet.parse(getattr(args, "J", None) or "")
     return args.run(args, I, J, b, sys.stdout)
 
 

@@ -11,7 +11,8 @@ from unittest import mock
 import pytest
 
 import coregcalc
-from coregcalc import cli, toric
+from coregcalc import cli, setalg, toric
+from coregcalc.setalg import EnumBounds
 
 CMD = [sys.executable, "-m", "coregcalc.cli"]
 # The child imports the package this process imported, also when pytest
@@ -282,6 +283,101 @@ class TestRobustness:
             assert r.returncode == 0
             outs.add(r.stdout)
         assert len(outs) == 1
+
+
+# Each bounded command with an input, and per bound key it reads two values
+# whose outputs differ: the first is the base, the second the variant.
+KEY_EFFECTS = {
+    "plus": (["plus", "--I", "1/3"], {"terms": ("2", "1")}),
+    "dset": (["dset", "--I", "1/3"], {"terms": ("2", "1"), "index": ("3", "2")}),
+    # with --I 1/3 the terms bound does not show in D_d(I)
+    "ddset": (["ddset", "--I", "1/5", "--d", "1/2"], {"terms": ("2", "1"), "index": ("3", "2")}),
+    "lct0": (["lct0", "--I", "1/3", "--J", "1"],
+             {"terms": ("2", "1"), "value": ("2", "1"), "denom": ("100", "3")}),
+    "lct1": (["lct1", "--I", "1/2", "--J", "1"],
+             {"terms": ("4", "3"), "index": ("3", "2"), "denom": ("100", "5")}),
+    "p1-oracle": (["p1-oracle", "--I", "1/2", "--J", "1", "--degree", "1"],
+                  {"terms": ("2", "1"), "index": ("3", "2"), "denom": ("100", "3")}),
+    "accum": (["accum", "--I", "1/3,1/2", "--J", "1/2", "--c", "1"],
+              {"terms": ("5", "3"), "index": ("3", "2")}),
+    # its lemmas are theorems, so TestReads checks where its bounds go
+    "lemma-check": (["lemma-check", "ddi", "--I", "1/2"], {"terms": (), "index": ()}),
+}
+BOUND_VALUES = {"terms": "2", "index": "2", "value": "3", "denom": "5"}
+
+
+def bounds_arg(keys, key=None):
+    """`--bounds` with each key's base value, `key` at its variant."""
+    return ["--bounds", ",".join(f"{k}={v[1] if k == key else v[0]}" for k, v in keys.items())]
+
+
+class TestReads:
+    """The command table declares what each command reads, and every other
+    settable value exits 2 with a reason that names it."""
+
+    @pytest.mark.parametrize("command", KEY_EFFECTS)
+    def test_declared_bound_keys(self, command):
+        argv, keys = KEY_EFFECTS[command]
+        assert cli.build_parser().parse_args(argv).keys == tuple(keys)
+
+    @pytest.mark.parametrize("command,key", [
+        (c, k) for c, (argv, keys) in KEY_EFFECTS.items() for k in keys if c != "lemma-check"])
+    def test_every_declared_key_changes_the_output(self, command, key):
+        argv, keys = KEY_EFFECTS[command]
+        base = run_in_process(*argv, *bounds_arg(keys))
+        variant = run_in_process(*argv, *bounds_arg(keys, key))
+        assert base[0] == variant[0] == 0 and base[1] != variant[1]
+
+    @pytest.mark.parametrize("argv,check", [
+        (["lemma-check", "ddi", "--I", "1/2"], "check_ddi_lemma"),
+        (["lemma-check", "dd-monotone", "--I", "1/2", "--d", "1/3"], "check_dd_monotone"),
+    ])
+    def test_lemma_check_bounds_reach_the_checker(self, argv, check):
+        with mock.patch.object(setalg, check, wraps=getattr(setalg, check)) as spy:
+            code, out, _ = run_in_process(*argv, "--bounds", "terms=2,index=3")
+        assert (code, out) == (0, "true\n")
+        assert spy.call_args.args[-1] == EnumBounds(2, 3)
+
+    @pytest.mark.parametrize("command,key", [
+        (c, k) for c, (argv, keys) in KEY_EFFECTS.items() for k in BOUND_VALUES if k not in keys])
+    def test_unread_bound_key_exits_two(self, command, key):
+        argv, keys = KEY_EFFECTS[command]
+        code, out, err = run_in_process(*argv, "--bounds", f"{key}={BOUND_VALUES[key]}")
+        assert (code, out) == (2, "")
+        assert err == (f"error: this command does not read bounds key {key!r} "
+                       f"(it reads {', '.join(keys)})\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mem", "plus", "1/2", "--I", "1/2", "--J", "1"],
+         "--J applies only to the lct0 or lct1 target"),
+        (["mem", "dset", "1/2", "--I", "1/2", "--J", "1"],
+         "--J applies only to the lct0 or lct1 target"),
+        (["mem", "ddset", "1/2", "--I", "1/2", "--d", "1/4", "--J", "1"],
+         "--J applies only to the lct0 or lct1 target"),
+        (["mem", "plus", "1/2", "--I", "1/2", "--triple-bound", "3"],
+         "--triple-bound applies only to the lct1 target"),
+        (["mem", "dset", "1/2", "--I", "1/2", "--triple-bound", "3"],
+         "--triple-bound applies only to the lct1 target"),
+        (["mem", "ddset", "1/2", "--I", "1/2", "--d", "1/4", "--triple-bound", "3"],
+         "--triple-bound applies only to the lct1 target"),
+        (["mem", "lct0", "1/2", "--I", "1/2", "--J", "1", "--triple-bound", "3"],
+         "--triple-bound applies only to the lct1 target"),
+        (["acc-above", "--I", "1/2", "--J", "1", "--c", "0", "--t", "1/3", "--triple-cutoff", "3"],
+         "--triple-cutoff applies only to --c 1"),
+        (["accum", "--I", "1/2", "--J", "1", "--c", "0", "--bounds", "terms=2"],
+         "--bounds applies only to --c 1"),
+    ])
+    def test_option_the_mode_does_not_read_exits_two(self, argv, message):
+        assert run_in_process(*argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["mem", "lct1", "1/30", "--J", "1", "--bounds", "terms=1,index=1,denom=2"],
+        ["acc-above", "--I", "1/2", "--J", "1", "--c", "1", "--t", "1/2", "--bounds", "index=2"],
+    ])
+    def test_bounds_on_a_command_without_bounds_exits_two(self, argv):
+        code, out, err = run_in_process(*argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bounds" in err
 
 
 def test_traced_layers_resolve():
