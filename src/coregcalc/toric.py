@@ -79,10 +79,6 @@ class SimplicialCone:
     def dim(self) -> int:
         return len(self.rays)
 
-    def coordinates(self, v: tuple[int, ...]) -> list[Fraction]:
-        """Coefficients of v in the ray basis (exact)."""
-        return [Fraction(sum(a * x for a, x in zip(w, v)), self.det) for w in self.dual]
-
     def contains(self, v: tuple[int, ...]) -> bool:
         """Whether every ray coordinate of v (dot product times det) is >= 0."""
         det = self.det

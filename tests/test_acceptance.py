@@ -12,12 +12,10 @@ import coregcalc
 from coregcalc.dualcx import StratifiedBoundary, regularity_coregularity
 from coregcalc.lctsets import (
     accumulation_candidates,
-    coreg_unbounded_counterexample,
     lct0_enumerate,
     mem_lct0,
     mem_lct1,
     p1_oracle,
-    tsingularity_coreg1_set,
     verify_acc_above,
 )
 from coregcalc.setalg import (
@@ -28,6 +26,7 @@ from coregcalc.setalg import (
     check_ddi_lemma,
 )
 from coregcalc.toric import SimplicialCone, ToricPair, toric_lct, toric_lct_oracle
+from recorded_families import coreg_unbounded_counterexample, tsingularity_coreg1_set
 
 
 def cs(text):

