@@ -9,9 +9,9 @@ The parser is the command table: ``build_parser`` declares what each
 subcommand reads (its sets, its bound keys and, where a mode argument such as
 ``mem``'s target decides, the options of each mode) and binds its handler with
 ``set_defaults(run=...)``.  Parsing, refusal and ``--help`` all follow from
-that declaration: ``run`` parses argv, refuses every bound key and option the
-command would not read (exit 2), builds I, J and the bounds, and calls the
-handler.
+that declaration: ``run`` parses argv, refuses every option given twice,
+every leftover argument and every bound key and option the command would not
+read (exit 2), builds I, J and the bounds, and calls the handler.
 """
 
 import argparse
@@ -23,18 +23,15 @@ from . import dualcx, lctsets, setalg, toric
 from .rationals import format_rational, parse_rational
 from .setalg import CoeffSet, DomainError, EnumBounds
 
-# The command line's default term bound; the library's EnumBounds has 4.
-DEFAULT_TERMS = 12
-
-
-# key: (parser of its value, its part of the --help text)
+# key: (its EnumBounds field, whose default the command line keeps, parser of
+# its value, its part of the --help text)
 _BOUND_KEYS = {
-    "terms": (int, f"terms=T caps the summands (default {DEFAULT_TERMS}; the library's "
-              "EnumBounds defaults to 4)"),
-    "index": (int, "index=M caps the integer indices (default 6)"),
-    "value": (parse_rational, "value=V caps the sums of J; an integer V doubles as the "
-              "denominator cap unless denom= is given"),
-    "denom": (int, "denom=D keeps the values of reduced denominator at most D"),
+    "terms": ("max_terms", int, f"terms=T caps the summands (default {EnumBounds.max_terms})"),
+    "index": ("max_index", int,
+              f"index=M caps the integer indices (default {EnumBounds.max_index})"),
+    "value": ("max_value", parse_rational, "value=V caps the sums of J; an integer V "
+              "doubles as the denominator cap unless denom= is given"),
+    "denom": ("max_denominator", int, "denom=D keeps the values of reduced denominator at most D"),
 }
 
 
@@ -52,11 +49,21 @@ def _parse_bounds(text, keys):
         if key not in keys:
             raise DomainError(f"this command does not read bounds key {key!r} "
                               f"(it reads {', '.join(keys)})")
-        if key in given:
+        field, parse, _ = _BOUND_KEYS[key]
+        if field in given:
             raise DomainError(f"repeated bounds key {key!r}")
-        given[key] = _BOUND_KEYS[key][0](raw)
-    return EnumBounds(given.get("terms", DEFAULT_TERMS), given.get("index", 6),
-                      given.get("value"), given.get("denom"))
+        given[field] = parse(raw)
+    return EnumBounds(**given)
+
+
+class _Once(argparse.Action):
+    """Store a value once, as the answer must not depend on which of two is read
+    last; every option and argument it stores defaults to None."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
 
 
 def _verdict(ok, out, detail=""):
@@ -212,17 +219,8 @@ def build_parser():
         it reads, and `run` refuses the others, naming the modes that read
         them with `phrase`."""
         p = sub.add_parser(name, help=help, description=help)
-        unread = None
-        if modes:
-            dest, phrase, reads = modes
-            # in the order of first mention: the first refused is the one named
-            options = dict.fromkeys(o for opts in reads.values() for o in opts)
-            for o in options:
-                readers = " or ".join(str(m) for m, opts in reads.items() if o in opts)
-                options[o] = f"--{o.replace('_', '-')} applies only to {phrase.format(readers)}"
-            unread = dest, {m: [(o, said) for o, said in options.items() if o not in opts]
-                            for m, opts in reads.items()}
-        p.set_defaults(run=handler, keys=keys, unread=unread)
+        p.register("action", None, _Once)
+        p.set_defaults(run=handler, keys=keys, modes=modes, parser=p)
         for s in sets:
             default = " (default: empty)" if s == "I" else ""
             p.add_argument(f"--{s}", metavar="SET",
@@ -232,7 +230,7 @@ def build_parser():
                 "--bounds",
                 metavar="KEY=V,...",
                 help="enumeration bounds, each key at most once: "
-                + "; ".join(_BOUND_KEYS[k][1] for k in keys),
+                + "; ".join(_BOUND_KEYS[k][2] for k in keys),
             )
         return p
 
@@ -276,11 +274,8 @@ def build_parser():
         ("terms", "index", "denom"),
     )
     p.add_argument("--witness", action="store_true", help="append provenance per value")
-    p.add_argument(
-        "--three-term",
-        action="store_true",
-        help="restrict to the three displayed slots (no pqr-weighted tail)",
-    )
+    p.add_argument("--three-term", action="store_true",
+                   help="restrict to the three displayed slots (no pqr-weighted tail)")
 
     p = command(
         "p1-oracle", _p1_oracle,
@@ -289,11 +284,8 @@ def build_parser():
     )
     p.add_argument("--degree", type=int, choices=[1, 2], required=True)
     p.add_argument("--witness", action="store_true", help="append provenance per value")
-    p.add_argument(
-        "--no-cap-unit",
-        action="store_true",
-        help="drop the per-term coefficient cap i_k + t*j_k <= 1",
-    )
+    p.add_argument("--no-cap-unit", action="store_true",
+                   help="drop the per-term coefficient cap i_k + t*j_k <= 1")
 
     p = command(
         "acc-above", _acc_above,
@@ -323,11 +315,8 @@ def build_parser():
         "dimension, minimal-maximal-simplex convention) and coregularity",
     )
     p.add_argument("file", help="stratification file: dim/divisors/stratum lines")
-    p.add_argument(
-        "--max-convention",
-        action="store_true",
-        help="also report the usual largest-simplex dimension, for comparison",
-    )
+    p.add_argument("--max-convention", action="store_true",
+                   help="also report the usual largest-simplex dimension, for comparison")
 
     p = command(
         "toric-lct", _toric_lct,
@@ -353,12 +342,17 @@ def build_parser():
 
 
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
-    if args.unread:
-        dest, unread = args.unread
-        for option, message in unread[getattr(args, dest)]:
-            if getattr(args, option) is not None:
-                raise DomainError(message)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if args.modes:
+        dest, phrase, reads = args.modes
+        # in the order of first mention: the first refused is the one named
+        for o in dict.fromkeys(o for opts in reads.values() for o in opts):
+            if getattr(args, o) is not None and o not in reads[getattr(args, dest)]:
+                readers = " or ".join(str(m) for m, opts in reads.items() if o in opts)
+                raise DomainError(f"--{o.replace('_', '-')} applies only to "
+                                  f"{phrase.format(readers)}")
     I = CoeffSet.parse(getattr(args, "I", None) or "")
     b = _parse_bounds(getattr(args, "bounds", None), args.keys)
     J = CoeffSet.parse(getattr(args, "J", None) or "")

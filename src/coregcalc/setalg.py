@@ -144,7 +144,7 @@ class EnumBounds:
     their reduced denominator.
     """
 
-    max_terms: int = 4
+    max_terms: int = 12
     max_index: int = 6
     max_value: Optional[Fraction] = None
     max_denominator: Optional[int] = None

@@ -370,14 +370,40 @@ class TestReads:
     def test_option_the_mode_does_not_read_exits_two(self, argv, message):
         assert run_in_process(*argv) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["mem", "lct1", "1/30", "--J", "1", "--bounds", "terms=1,index=1,denom=2"],
-        ["acc-above", "--I", "1/2", "--J", "1", "--c", "1", "--t", "1/2", "--bounds", "index=2"],
+    def test_unbounded_command_gets_the_default_bounds(self):
+        with mock.patch.object(setalg, "check_ddi_lemma", wraps=setalg.check_ddi_lemma) as spy:
+            code, out, _ = run_in_process("lemma-check", "ddi", "--I", "1/2")
+        assert (code, out) == (0, "true\n")
+        assert spy.call_args.args[-1] == EnumBounds()
+
+    @pytest.mark.parametrize("argv,extra", [
+        (["mem", "lct1", "1/30", "--J", "1", "--bounds", "terms=1,index=1,denom=2"],
+         "--bounds terms=1,index=1,denom=2"),
+        (["acc-above", "--I", "1/2", "--J", "1", "--c", "1", "--t", "1/2", "--bounds", "index=2"],
+         "--bounds index=2"),
+        (["mem", "plus", "1/2", "9", "--I", "1/2"], "9"),
     ])
-    def test_bounds_on_a_command_without_bounds_exits_two(self, argv):
+    def test_bounds_on_a_command_without_bounds_exits_two(self, argv, extra):
         code, out, err = run_in_process(*argv)
         assert (code, out) == (2, "")
-        assert "unrecognized arguments: --bounds" in err
+        assert err.startswith(f"usage: coregcalc {argv[0]} ")
+        assert err.endswith(f"\ncoregcalc {argv[0]}: error: unrecognized arguments: {extra}\n")
+
+    @pytest.mark.parametrize("argv,option", [
+        (["plus", "--I", "1/3", "--I", "1/2", "--bounds", "terms=2"], "--I"),
+        (["plus", "--I", "1/2", "--bounds", "terms=1", "--bounds", "terms=3"], "--bounds"),
+        (["acc-above", "--I", "1/2", "--J", "1", "--c", "0", "--c", "1", "--t", "1/2"], "--c"),
+        (["mem", "lct1", "1/30", "--J", "1", "--triple-bound", "3", "--triple-bound", "5"],
+         "--triple-bound"),
+    ])
+    def test_option_given_twice_exits_two(self, argv, option):
+        code, out, err = run_in_process(*argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {option}: given more than once\n")
+
+    def test_flag_given_twice_is_read_once(self):
+        argv = ["lct0", "--I", "1/2", "--J", "1", "--bounds", "value=3", "--witness"]
+        assert run_in_process(*argv, "--witness") == run_in_process(*argv)
 
 
 def test_traced_layers_resolve():

@@ -47,6 +47,33 @@ def test_degree_two_solutions_lie_in_coreg_one_set(i_gens, j_gens):
     assert oracle <= closed
 
 
+# Without the unit cap, the degree-two oracle and the coregularity-one closed
+# form list the same values in one window once it allows three terms; with
+# fewer, the closed form has more, as three orbifold points need three terms.
+# Checked on these fixed windows, not proved; I = {1/3, 1/2} holds too, but
+# doubles the time.
+WIDE_I = ["", "1/2", "1", "1/3", "2/3", "1/2,1"]
+WIDE_J = ["1", "1/2", "1/2,1", "3/2", "1/3,2"]
+
+
+@pytest.mark.parametrize("terms,index", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 2), (3, 3)])
+def test_uncapped_degree_two_oracle_is_the_coreg_one_set(terms, index):
+    b = EnumBounds(terms, index)
+    for i_gens in WIDE_I:
+        for j_gens in WIDE_J:
+            I, J = cs(i_gens), cs(j_gens)
+            closed = set(lct1_enumerate(I, J, b).raw())
+            oracle = set(p1_oracle(I, J, 2, b, cap_unit=False).raw())
+            assert (oracle == closed) if terms >= 3 else (oracle <= closed), (i_gens, j_gens)
+
+
+def test_two_terms_miss_three_orbifold_points():
+    b = EnumBounds(2, 2)
+    closed = set(lct1_enumerate(cs(""), cs("1"), b).raw())
+    oracle = set(p1_oracle(cs(""), cs("1"), 2, b, cap_unit=False).raw())
+    assert oracle < closed and (len(closed), len(oracle)) == (9, 4)
+
+
 def test_oracle_witness_replays_to_value():
     got = p1_oracle(cs("1/2"), cs("1"), 1, EnumBounds(3, 4))
     assert got.raw()
