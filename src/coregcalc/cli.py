@@ -23,8 +23,7 @@ from . import dualcx, lctsets, setalg, toric
 from .rationals import format_rational, parse_rational
 from .setalg import CoeffSet, DomainError, EnumBounds
 
-# key: (its EnumBounds field, whose default the command line keeps, parser of
-# its value, its part of the --help text)
+# key: (its EnumBounds field, parser of its value, its part of the --help text)
 _BOUND_KEYS = {
     "terms": ("max_terms", int, f"terms=T caps the summands (default {EnumBounds.max_terms})"),
     "index": ("max_index", int,
