@@ -273,8 +273,11 @@ def build_parser():
         ("terms", "index", "denom"),
     )
     p.add_argument("--witness", action="store_true", help="append provenance per value")
-    p.add_argument("--three-term", action="store_true",
-                   help="restrict to the three displayed slots (no pqr-weighted tail)")
+    p.add_argument(
+        "--three-term",
+        action="store_true",
+        help="restrict to the three displayed slots (no pqr-weighted tail)",
+    )
 
     p = command(
         "p1-oracle", _p1_oracle,
@@ -283,8 +286,11 @@ def build_parser():
     )
     p.add_argument("--degree", type=int, choices=[1, 2], required=True)
     p.add_argument("--witness", action="store_true", help="append provenance per value")
-    p.add_argument("--no-cap-unit", action="store_true",
-                   help="drop the per-term coefficient cap i_k + t*j_k <= 1")
+    p.add_argument(
+        "--no-cap-unit",
+        action="store_true",
+        help="drop the per-term coefficient cap i_k + t*j_k <= 1",
+    )
 
     p = command(
         "acc-above", _acc_above,
@@ -314,8 +320,11 @@ def build_parser():
         "dimension, minimal-maximal-simplex convention) and coregularity",
     )
     p.add_argument("file", help="stratification file: dim/divisors/stratum lines")
-    p.add_argument("--max-convention", action="store_true",
-                   help="also report the usual largest-simplex dimension, for comparison")
+    p.add_argument(
+        "--max-convention",
+        action="store_true",
+        help="also report the usual largest-simplex dimension, for comparison",
+    )
 
     p = command(
         "toric-lct", _toric_lct,
@@ -342,8 +351,9 @@ def build_parser():
 
 def run(argv) -> int:
     args, extra = build_parser().parse_known_args(argv)
-    if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if extra:  # the top-level parser reads only the name, so argv[0] is it or a leftover
+        (args.parser if argv[0] == args.command else build_parser()).error(
+            f"unrecognized arguments: {' '.join(extra)}")
     if args.modes:
         dest, phrase, reads = args.modes
         # in the order of first mention: the first refused is the one named

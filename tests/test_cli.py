@@ -380,14 +380,20 @@ class TestReads:
         ["mem", "lct1", "1/30", "--J", "1", "--bounds", "terms=1,index=1,denom=2"],
         ["acc-above", "--I", "1/2", "--J", "1", "--c", "1", "--t", "1/2", "--bounds", "index=2"],
         ["mem", "plus", "1/2", "9", "--I", "1/2"],
+        ["--bogus", "plus", "--I", "1/2"],
     ])
     def test_bounds_on_a_command_without_bounds_exits_two(self, argv):
-        # the subcommand names what is left over: --bounds and its value, or the stray 9
-        extra = " ".join(argv[argv.index("--bounds"):]) if "--bounds" in argv else "9"
+        # the parser given the leftover names it: the subcommand for --bounds and
+        # its value or the stray 9, the top level for --bogus before the subcommand
+        if argv[0] == "--bogus":
+            prog, extra = "coregcalc", "--bogus"
+        else:
+            prog = f"coregcalc {argv[0]}"
+            extra = " ".join(argv[argv.index("--bounds"):]) if "--bounds" in argv else "9"
         code, out, err = run_in_process(*argv)
         assert (code, out) == (2, "")
-        assert err.startswith(f"usage: coregcalc {argv[0]} ")
-        assert err.endswith(f"\ncoregcalc {argv[0]}: error: unrecognized arguments: {extra}\n")
+        assert err.startswith(f"usage: {prog} ")
+        assert err.endswith(f"\n{prog}: error: unrecognized arguments: {extra}\n")
 
     @pytest.mark.parametrize("argv,option", [
         (["plus", "--I", "1/3", "--I", "1/2", "--bounds", "terms=2"], "--I"),

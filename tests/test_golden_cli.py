@@ -2,10 +2,9 @@
 
 Each case runs in process through `cli.main` (so through `cli.run`, with the
 exit code `main` gives an error).  The expected outputs in `golden_cli.json`
-are recorded by running this file as a script, which re-records the cases
-named by id and keeps the others from the file (every case when none is named):
+are recorded by running this file as a script:
 
-    PYTHONPATH=src python tests/test_golden_cli.py [ID ...]
+    PYTHONPATH=src python tests/test_golden_cli.py
 """
 
 import contextlib
@@ -122,16 +121,8 @@ def test_golden(cid, argv, file_text):
 
 
 if __name__ == "__main__":
-    named = set(sys.argv[1:])
-    unknown = named - {cid for cid, _, _ in CASES}
-    if unknown:
-        sys.exit(f"no such case: {', '.join(sorted(unknown))}")
-    kept = json.loads(GOLDEN.read_text()) if named else {}
     recorded = {}
     for cid, argv, file_text in CASES:
-        if named and cid not in named:
-            recorded[cid] = kept[cid]
-        else:
-            code, stdout = invoke(argv, file_text)
-            recorded[cid] = {"exit": code, "stdout": stdout}
+        code, stdout = invoke(argv, file_text)
+        recorded[cid] = {"exit": code, "stdout": stdout}
     GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n")
