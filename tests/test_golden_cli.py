@@ -82,6 +82,9 @@ CASES = [
     ("bounds-unknown-key", ["plus", "--I", "1/2", "--bounds", "depth=3"], None),
     ("mem-lct1-small-t", ["mem", "lct1", "3/1000", "--I", "5/9,7/11", "--J", "1,1/2", "--triple-bound", "4"], None),
     ("plus-large-denominator", ["plus", "--I", "2/997,3/7", "--bounds", "terms=12"], None),
+    ("mem-dset-large-false", ["mem", "dset", "299966/299973", "--I", "1/3,49999/99991"], None),
+    ("mem-dset-large-true", ["mem", "dset", "299971/299973", "--I", "1/3,49999/99991"], None),
+    ("mem-ddset-large", ["mem", "ddset", "299971/299973", "--I", "1/3,49999/99991", "--d", "1/3"], None),
     ("help", ["--help"], None),
     *((f"help-{cmd}", [cmd, "--help"], None) for cmd in (
         "plus", "dset", "ddset", "mem", "lct0", "lct1", "p1-oracle", "acc-above",
