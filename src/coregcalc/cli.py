@@ -33,6 +33,8 @@ _BOUND_KEYS = {
     "denom": ("max_denominator", int, "denom=D keeps the values of reduced denominator at most D"),
 }
 
+_TRIPLE_BOUND = 5  # mem lct1's triple search bound when --triple-bound is not given
+
 
 def _parse_bounds(text, keys):
     """EnumBounds from `key=value,...`; each key at most once, and only the
@@ -127,7 +129,7 @@ def _mem(args, I, J, b, out):
     if args.target == "lct0":
         w = lctsets.mem_lct0(a, I, J)
         return _verdict(w is not None, out, f" {w}")
-    bound = 5 if args.triple_bound is None else args.triple_bound
+    bound = _TRIPLE_BOUND if args.triple_bound is None else args.triple_bound
     w = lctsets.mem_lct1(a, I, J, bound)
     if w is None:
         out.write(f"not-found-within-bound (triples searched up to {bound})\n")
@@ -192,10 +194,12 @@ def _toric_lct(args, I, J, b, out):
 def _lemma_check(args, I, J, b, out):
     if args.lemma == "dd-monotone":
         ok, bad = setalg.check_dd_monotone(I, _shift(args, "dd-monotone"), b)
+        found = [f"d1={format_rational(d1)}, a={format_rational(a)}" for d1, a in bad]
     else:
         ok, bad = setalg.check_ddi_lemma(I, b)
+        found = [f"{what}: {format_rational(x)}" for what, x in bad]
     code = _verdict(ok, out)
-    for item in bad:
+    for item in found:
         out.write(f"counterexample: {item}\n")
     return code
 
@@ -257,7 +261,7 @@ def build_parser():
     p.add_argument("value", help="the rational to test")
     p.add_argument("--d", help="shift for the ddset target")
     p.add_argument("--triple-bound", type=int,
-                   help="triple search bound for the lct1 target (default: 5)")
+                   help=f"triple search bound for the lct1 target (default: {_TRIPLE_BOUND})")
 
     p = command(
         "lct0", _lct0,

@@ -14,7 +14,7 @@ values are ``fractions.Fraction``.  Every bounded sum, here and in
 one integer lookup, ``CoeffSet.has_sum``, in a table built once per set:
 ``in_semigroup`` asks it once, and ``split`` (rest = i + d*j with i in I+
 and j a positive sum of J) asks it twice per candidate j.  D(I) and D_d(I)
-membership is one scan over m of ``split`` with J = {1}.
+membership is one ``split`` of 1 - d over I u {d} with J = {1}.
 """
 
 from dataclasses import dataclass
@@ -323,33 +323,24 @@ def d_d_set(I: CoeffSet, d: Fraction, b: EnumBounds) -> CoeffSet:
 
 
 def mem_d_set(a: Fraction, I: CoeffSet) -> bool:
-    """Exact membership a in D(I): the scan of mem_d_d_set with the single
-    shift 0."""
+    """Exact membership a in D(I): _mem_shifted with the shift 0 over I."""
     return _mem_shifted(a, I, ZERO)
 
 
 def mem_d_d_set(a: Fraction, I: CoeffSet, d: Fraction) -> bool:
-    """Exact membership a in D_d(I)."""
+    """Exact membership a in D_d(I): _mem_shifted over I u {d}."""
     _check_shift(d)
-    return _mem_shifted(a, I, d)
+    return _mem_shifted(a, CoeffSet((*I, d)), d)
 
 
-def _mem_shifted(a: Fraction, I: CoeffSet, d: Fraction) -> bool:
-    """Whether a = (m-1+f+k*d)/m for some m >= 1, f in I+ and k >= 1 (any
-    k when d = 0): whether rest = 1 - m*(1-a) splits as f + d*k.
-
-    For a < 1, rest >= 0 forces m <= 1/(1-a).  For a = 1 the rest is 1 for
-    every m, so m = 1 suffices.  Only L-integral f = rest - k*d can lie in
-    I+ (L = I.scale); with L*d = u/v in lowest terms that needs v*L*rest to
-    be an integer, which keeps m to the multiples of q/gcd(q, v*L) for
-    a = p/q.
-    """
+def _mem_shifted(a: Fraction, Id: CoeffSet, d: Fraction) -> bool:
+    """Whether a = (m-1+f+k*d)/m for some m >= 1, f in I+ and k >= 1 (no k
+    when d = 0), given Id = I u {d} (I itself when d = 0): whether 1 - d =
+    s + m*(1-a) for a sum s = f + (k-1)*d of Id, one split with J = {1}
+    whose j is m (README proves the equivalence)."""
     if a < 0 or a > 1:
         raise DomainError(f"argument {format_rational(a)} outside [0,1]")
-    b = 1 - a
-    step = a.denominator // gcd(a.denominator, (I.scale * d).denominator * I.scale)
-    ms = range(step, (int(1 / b) if b else 1) + 1, step)
-    return any(split(1 - m * b, I, d, UNIT) for m in ms)
+    return split(1 - d, Id, 1 - a, UNIT) is not None
 
 
 def check_ddi_lemma(I: CoeffSet, b: EnumBounds) -> tuple[bool, list]:
@@ -375,10 +366,11 @@ def check_dd_monotone(I: CoeffSet, d: Fraction, b: EnumBounds) -> tuple[bool, li
     bounded enumeration of the left side with exact membership on the right."""
     _check_shift(d)
     fs = plus_closure(I, b)
+    Id = CoeffSet((*I, d))
     bad = []
     for d1 in _shifted(fs, d, b.max_index):
         # every d1 is positive and at most 1, so it is a valid shift
         for a in _shifted(fs, d1, b.max_index):
-            if not mem_d_d_set(a, I, d):
+            if not _mem_shifted(a, Id, d):
                 bad.append((d1, a))
     return (not bad, bad)

@@ -259,6 +259,18 @@ class TestLemmaChecks:
         r = run("lemma-check", "dd-monotone", "--I", "0")
         assert r.returncode == 2
 
+    # the lemmas hold, so a counterexample needs a decider that answers false
+    @pytest.mark.parametrize("decider,argv,line", [
+        ("mem_d_set", ("ddi", "--I", "1/2"), "D(D(I)) element outside D(I)u{1}: 1/2"),
+        ("_mem_shifted", ("dd-monotone", "--I", "1/2", "--d", "1/3"), "d1=1/3, a=5/6"),
+    ])
+    def test_counterexamples_print_rationals(self, decider, argv, line):
+        with mock.patch.object(setalg, decider, return_value=False):
+            code, out, _ = run_in_process("lemma-check", *argv, "--bounds", "terms=2,index=2")
+        assert code == 1 and out.splitlines()[0] == "false"
+        assert f"counterexample: {line}" in out.splitlines()
+        assert "Fraction(" not in out
+
 
 class TestRobustness:
     def test_bad_rational_exits_two(self):

@@ -41,7 +41,6 @@ from coregcalc.setalg import (
     EnumBounds,
     check_dd_monotone,
     d_d_set,
-    mem_d_d_set,
     plus_closure,
     plus_closure_exact,
     sums,
@@ -376,9 +375,9 @@ def test_check_dd_monotone_matches_rebuilt_closures(I, d, terms, index):
     # the lemma holds, so the verdicts agree whatever is checked: compare the
     # membership queries too
     b = EnumBounds(terms, index)
-    with mock.patch.object(setalg, "mem_d_d_set", wraps=mem_d_d_set) as spy:
+    with mock.patch.object(setalg, "_mem_shifted", wraps=setalg._mem_shifted) as spy:
         got = check_dd_monotone(I, d, b)
-    with mock.patch.object(setalg, "mem_d_d_set", wraps=mem_d_d_set) as ref_spy:
+    with mock.patch.object(setalg, "_mem_shifted", wraps=setalg._mem_shifted) as ref_spy:
         want = ref_check_dd_monotone(I, d, b)
     assert got == want
     assert spy.call_args_list == ref_spy.call_args_list

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in it.
+"""Every name a module of the package or a test module imports is used in it.
 
 A standard-library stand-in for a linter's unused-import check: a name bound
 by an `import` statement must be read somewhere in the module, or be listed
@@ -13,6 +13,7 @@ import pytest
 import coregcalc
 
 MODULES = sorted(Path(coregcalc.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +40,7 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from .a import B\n__all__ = ['B']\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TESTS])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

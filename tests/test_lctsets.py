@@ -4,7 +4,6 @@ import pytest
 
 from coregcalc.lctsets import (
     Coreg0Witness,
-    Coreg1Witness,
     PlatonicTriple,
     accumulation_candidates,
     lct0_enumerate,

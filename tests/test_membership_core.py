@@ -11,13 +11,14 @@ import io
 import itertools
 import time
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coregcalc import cli
+from coregcalc import cli, setalg
 from coregcalc.lctsets import (
     Coreg0Witness,
     Coreg1Witness,
@@ -29,6 +30,8 @@ from coregcalc.setalg import (
     UNIT,
     CoeffSet,
     DomainError,
+    EnumBounds,
+    check_dd_monotone,
     in_semigroup,
     mem_d_d_set,
     mem_d_set,
@@ -183,6 +186,19 @@ def mem_d_d_set_reference(a, I, d):
         m += 1
 
 
+def mem_d_d_set_mscan(a, I, d):
+    """The scan over m, each m one split(1 - m*(1-a), I, d, {1}); d = 0
+    gives D(I).  For a < 1, rest >= 0 forces m <= 1/(1-a); for a = 1 the
+    rest is 1 for every m, so m = 1 suffices.  Only L-integral f = rest -
+    k*d can lie in I+ (L = I.scale); with L*d = u/v in lowest terms that
+    needs v*L*rest to be an integer, which keeps m to the multiples of
+    q/gcd(q, v*L) for a = p/q."""
+    b = 1 - a
+    step = a.denominator // gcd(a.denominator, (I.scale * d).denominator * I.scale)
+    ms = range(step, (int(1 / b) if b else 1) + 1, step)
+    return any(split(1 - m * b, I, d, UNIT) for m in ms)
+
+
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -304,17 +320,62 @@ class TestSplit:
             split(F(1), UNIT, F(1, 2), CoeffSet.parse("0"))
 
 
+# the I sets and shifts of the benchmark's membership workload
+BENCH_SETS = [CoeffSet.parse(t) for t in ("5/9,7/11", "5/8,6/11", "4/7,7/12", "7/10,8/13")]
+BENCH_SHIFTS = [F(1, 2), F(1, 3), F(2, 3), F(2, 5), F(3, 4)]
+# p/q in [1/2, 1] with 500 < q <= 1000
+bench_targets = st.integers(501, 1000).flatmap(
+    lambda q: st.integers((q + 1) // 2, q).map(lambda p: F(p, q)))
+
+
 class TestDerivedSetDeciders:
     @given(generator_sets, rationals(0, 1, 40))
+    @example(CoeffSet.parse("1/2"), F(1, 2))
+    @example(CoeffSet.parse("2/5"), F(1))
+    @example(CoeffSet.parse(""), F(1, 2))
+    @example(CoeffSet.parse(""), F(1))
+    @example(CoeffSet.parse("0"), F(2, 3))
     @settings(max_examples=150, deadline=None)
     def test_mem_d_set_agrees_with_full_scan(self, I, a):
         assert mem_d_set(a, I) == mem_d_set_reference(a, I)
 
     @given(generator_sets, rationals(0, 1, 24), rationals(F(1, 12), 1, 12))
+    @example(CoeffSet.parse("1/3"), F(5, 6), F(1, 3))  # d in I
+    @example(CoeffSet.parse("1/3"), F(1, 2), F(1, 3))
+    @example(CoeffSet.parse("3/2"), F(3, 4), F(1, 2))  # an element above 1
+    @example(CoeffSet.parse("1/3"), F(1), F(2, 3))  # a = 1: 1 - d is a sum
+    @example(CoeffSet.parse("2/5"), F(1), F(1, 2))
+    @example(CoeffSet.parse("1/2"), F(1, 2), F(1))  # d = 1: only a = 1
+    @example(CoeffSet.parse("1/2"), F(1), F(1))
+    @example(CoeffSet.parse(""), F(2, 3), F(1, 3))
+    @example(CoeffSet.parse("0"), F(3, 4), F(1, 2))
     @settings(max_examples=150, deadline=None)
     def test_mem_d_d_set_agrees_with_full_scan(self, I, a, d):
         assume(d > 0)
         assert mem_d_d_set(a, I, d) == mem_d_d_set_reference(a, I, d)
+
+    @given(st.sampled_from(BENCH_SETS), bench_targets,
+           st.one_of(st.just(F(0)), st.sampled_from(BENCH_SHIFTS)))
+    @settings(max_examples=200, deadline=None)
+    def test_agree_with_m_scan_at_bench_size(self, I, a, d):
+        got = mem_d_set(a, I) if d == 0 else mem_d_d_set(a, I, d)
+        assert got == mem_d_d_set_mscan(a, I, d)
+
+    @pytest.mark.parametrize("a", [F(299966, 299973), F(299971, 299973), F(1), F(1, 2)])
+    def test_each_decision_is_one_split(self, a):
+        I = CoeffSet.parse("1/3,49999/99991")
+        for decide in (lambda: mem_d_set(a, I), lambda: mem_d_d_set(a, I, F(1, 3))):
+            with mock.patch.object(setalg, "split", wraps=split) as spy:
+                decide()
+            assert spy.call_count == 1
+
+    def test_dd_monotone_builds_i_u_d_once(self):
+        I, d = CoeffSet.parse("4/7,7/12"), F(2, 5)
+        with mock.patch.object(setalg, "_mem_shifted", wraps=setalg._mem_shifted) as spy:
+            check_dd_monotone(I, d, EnumBounds(3, 3))
+        sets = [c.args[1] for c in spy.call_args_list]
+        assert len(sets) > 1 and all(Id is sets[0] for Id in sets)
+        assert sets[0] == CoeffSet.parse("4/7,7/12,2/5")
 
 
 def built_member(I, picks, m, k, d):
